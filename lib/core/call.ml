@@ -8,8 +8,30 @@ module Memory = Dipc_hw.Memory
 module Capability = Dipc_hw.Capability
 module Fault = Dipc_hw.Fault
 module Layout = Dipc_hw.Layout
+module Dcs = Dipc_hw.Dcs
+module Trace = Dipc_sim.Trace
+
+(* Kernel-side DCS unwinding on [ctx] ({!Dcs.abandon} or
+   {!Dcs.unwind_to}): a change of the active depth is traced like the
+   proxies' own switches, so a checker mirroring the depth stays
+   exact. *)
+let kernel_dcs t ctx ~abandon ~level =
+  let dcs = ctx.Machine.dcs in
+  let before = Dcs.depth dcs in
+  if abandon then Dcs.abandon dcs ~level else Dcs.unwind_to dcs ~level;
+  let tracer = t.System.machine.System.Machine.tracer in
+  if Dcs.depth dcs <> before && Trace.enabled tracer then
+    Trace.emit tracer ~ts:ctx.Machine.cost ~tid:ctx.Machine.id ~tag:ctx.Machine.cur_tag
+      ~arg:(Dcs.depth dcs) Trace.Dcs_adjust
 
 (* --- top-level call setup --- *)
+
+(* Load the register arguments r0..r7 (extra arguments are dropped). *)
+let rec set_args regs i = function
+  | v :: rest when i < 8 ->
+      regs.(i) <- v;
+      set_args regs (i + 1) rest
+  | _ -> ()
 
 (* Prepare [th] to execute the function at [fn] with register arguments
    [args]; the function's final Ret lands on the runtime's halt
@@ -28,20 +50,32 @@ let setup t (th : System.thread) ~fn ~args =
   (* The host's invocation is itself a call frame: the function's final
      Ret (to the halt trampoline) pops it. *)
   Machine.enter_frame ctx;
-  ctx.Machine.dcs_saved <- [];
+  kernel_dcs t ctx ~abandon:false ~level:0;
   (* Reinstall the thread's private stack capability (c6): a fault may
      have abandoned a callee-stack capability there. *)
-  ctx.Machine.cregs.(System.stack_creg) <-
-    Some
-      (System.stack_cap t ctx ~base:th.System.t_stack_base
-         ~bytes:(th.System.t_stack_top - th.System.t_stack_base));
+  ctx.Machine.cregs.(System.stack_creg) <- th.System.t_stack_cap;
   let sp = th.System.t_stack_top - 8 in
   Memory.store_word t.System.machine.System.Machine.mem sp t.System.halt_addr;
   ctx.Machine.regs.(Dipc_hw.Isa.sp) <- sp;
-  List.iteri (fun i v -> if i < 8 then ctx.Machine.regs.(i) <- v) args;
+  set_args ctx.Machine.regs 0 args;
   Machine.force_transfer t.System.machine ctx ~target:fn
 
 (* --- fault notification and KCS unwinding (Sec. 5.2.1) --- *)
+
+(* Put [th]'s DCS where the return path of the proxy that pushed KCS
+   entry [e] expects it, before the kernel resumes the caller there.
+   The DCS-switched entries from the KCS base up to [e] give the
+   caller's nesting level.  A switched entry's callee is abandoned (the
+   proxy's restore returns the caller's stack with no results); an
+   unswitched one's caller gets back the stack it was running on.
+   Either way no stack of a skipped activation stays reachable. *)
+let resume_dcs t (th : System.thread) ~kcs_base e =
+  let switched e = System.load t (e + Kobj.ke_flags) land Kobj.kf_dcs_switched <> 0 in
+  let rec level e n =
+    if e < kcs_base then n
+    else level (e - Kobj.kcs_entry_bytes) (if switched e then n + 1 else n)
+  in
+  kernel_dcs t th.System.t_ctx ~abandon:(switched e) ~level:(level e 0)
 
 (* Unwind the thread's KCS after a fault or kill: pop entries until one
    whose calling process is still alive, flag the error, and resume at
@@ -75,18 +109,15 @@ let unwind t (th : System.thread) ~code =
           System.store t (tstruct + Kobj.ts_errno) code;
           let d = System.load t (e + Kobj.ke_depth) in
           Machine.force_unwind_depth ctx ~depth:(max 0 (min (d - 1) ctx.Machine.depth));
+          resume_dcs t th ~kcs_base:base e;
           Machine.force_transfer t.System.machine ctx
             ~target:(System.load t (e + Kobj.ke_proxy_ret));
           scanning := false;
           result := `Resumed
       | Some _ | None ->
-          (* Dead caller: discard the entry, undoing any machine state it
-             left pending. *)
-          if flags land Kobj.kf_dcs_switched <> 0 then begin
-            match ctx.Machine.dcs_saved with
-            | _ :: rest -> ctx.Machine.dcs_saved <- rest
-            | [] -> ()
-          end;
+          (* Dead caller: discard the entry.  Its DCS stacks are dropped
+             when a living caller is found ({!resume_dcs}) or at the
+             thread's next top-level call. *)
           cur_struct := caller_struct;
           top := e
     end
@@ -96,13 +127,13 @@ let unwind t (th : System.thread) ~code =
 (* Run to completion, applying fault notification: a fault in a callee is
    flagged to the nearest living calling process; a thread with no living
    caller dies with the fault. *)
-let rec run t (th : System.thread) ?(fuel = 10_000_000) () =
+let rec run t (th : System.thread) ?fuel () =
   let ctx = th.System.t_ctx in
-  match Machine.run ~fuel t.System.machine ctx with
+  match Machine.run ?fuel t.System.machine ctx with
   | () -> Ok ctx.Machine.regs.(0)
   | exception Fault.Fault f -> begin
       match unwind t th ~code:Types.err_callee_fault with
-      | `Resumed -> run t th ~fuel ()
+      | `Resumed -> run t th ?fuel ()
       | `Dead -> Error f
     end
 
@@ -220,13 +251,12 @@ let split_timeout t (th : System.thread) =
       new_ctx.Machine.fsbase <- ctx.Machine.fsbase;
       new_ctx.Machine.depth <- ctx.Machine.depth;
       new_ctx.Machine.epochs <- Array.copy ctx.Machine.epochs;
-      new_ctx.Machine.dcs_saved <- ctx.Machine.dcs_saved;
-      new_ctx.Machine.dcs.Dipc_hw.Dcs.slots <-
-        Array.map (Option.map (refresh_cap t)) ctx.Machine.dcs.Dipc_hw.Dcs.slots;
-      new_ctx.Machine.dcs.Dipc_hw.Dcs.base <- ctx.Machine.dcs.Dipc_hw.Dcs.base;
-      new_ctx.Machine.dcs.Dipc_hw.Dcs.top <- ctx.Machine.dcs.Dipc_hw.Dcs.top;
+      Dcs.clone_into ~f:(refresh_cap t) ctx.Machine.dcs
+        ~into:new_ctx.Machine.dcs;
       Machine.force_transfer m new_ctx ~target:ctx.Machine.pc;
       let callee_proc = System.current_process t th in
+      let t_stack_base = System.load t (new_tstruct + Kobj.ts_stack_base) in
+      let t_stack_top = System.load t (new_tstruct + Kobj.ts_stack_limit) in
       let callee_th =
         {
           System.t_ctx = new_ctx;
@@ -234,8 +264,12 @@ let split_timeout t (th : System.thread) =
           t_kcs_base = new_kcs;
           t_kcs_limit = new_kcs + kcs_bytes;
           t_home = callee_proc;
-          t_stack_base = System.load t (new_tstruct + Kobj.ts_stack_base);
-          t_stack_top = System.load t (new_tstruct + Kobj.ts_stack_limit);
+          t_stack_base;
+          t_stack_top;
+          t_stack_cap =
+            Some
+              (System.stack_cap t new_ctx ~base:t_stack_base
+                 ~bytes:(t_stack_top - t_stack_base));
           t_stacks = Hashtbl.copy th.System.t_stacks;
         }
       in
@@ -247,6 +281,7 @@ let split_timeout t (th : System.thread) =
          belong to the callee now. *)
       let d = System.load t (entry + Kobj.ke_depth) in
       Machine.force_unwind_depth ctx ~depth:(max 0 (min (d - 1) ctx.Machine.depth));
+      resume_dcs t th ~kcs_base:base entry;
       Machine.force_transfer m ctx
         ~target:(System.load t (entry + Kobj.ke_proxy_ret));
       Ok callee_th

@@ -55,6 +55,8 @@ type thread = {
   t_home : process;
   t_stack_base : int;
   t_stack_top : int;
+  t_stack_cap : Dipc_hw.Capability.t option;
+      (* the c6 value: minted once, reinstalled by every top-level call *)
   (* Host mirror of lazily allocated per-domain stacks: the "per-thread
      tree, indexed by the domain tag" of Sec. 6.1.2. *)
   t_stacks : (int, int) Hashtbl.t; (* tag -> stack top *)
@@ -365,8 +367,8 @@ let create_thread t proc =
             { owner_tag = t.universal_tag; counter = 0; value = 0 };
       };
   (* The thread-private stack capability. *)
-  ctx.Machine.cregs.(stack_creg) <-
-    Some (stack_cap t ctx ~base:stack_base ~bytes:stack_bytes);
+  let t_stack_cap = Some (stack_cap t ctx ~base:stack_base ~bytes:stack_bytes) in
+  ctx.Machine.cregs.(stack_creg) <- t_stack_cap;
   store t (tstruct + Kobj.ts_kcs_top) kcs;
   store t (tstruct + Kobj.ts_kcs_base) kcs;
   store t (tstruct + Kobj.ts_kcs_limit) (kcs + kcs_bytes);
@@ -383,6 +385,7 @@ let create_thread t proc =
       t_home = proc;
       t_stack_base = stack_base;
       t_stack_top = stack_top;
+      t_stack_cap;
       t_stacks = Hashtbl.create 8;
     }
   in
@@ -430,7 +433,7 @@ let resolve t th ~tag =
         Hashtbl.replace th.t_stacks tag top;
         top
   in
-  let hw, _hit = Apl_cache.ensure ctx.Machine.apl_cache tag in
+  let hw = Apl_cache.find_or_install ctx.Machine.apl_cache tag in
   store t (th.t_struct + Kobj.ts_cache_proc hw) proc.proc_struct;
   store t (th.t_struct + Kobj.ts_cache_stack hw) stack_top;
   hw

@@ -3,16 +3,23 @@
    Every domain tag T is associated with an APL: the list of tags code in T
    may access, with a permission each.  A domain always has implicit write
    access to its own tag ("domain B has implicit read-write access to
-   itself"). *)
+   itself").
+
+   Representation: one dense row per source tag, indexed by destination
+   tag, so [permission] — which runs on every cross-tag data access and
+   every domain crossing — is two bounds checks and two array reads, with
+   no hashing and no allocation.  Tags are small consecutive integers
+   ([fresh_tag]), so rows stay short; both levels grow on demand when a
+   grant names a tag past their end, and every absent cell reads as
+   [Perm.Nil]. *)
 
 type t = {
-  (* (source tag, destination tag) -> permission *)
-  grants : (int * int, Perm.t) Hashtbl.t;
+  mutable rows : Perm.t array array; (* rows.(src).(dst) = hardware permission *)
   mutable next_tag : int;
   mutable generation : int; (* bumped on every change, invalidates caches *)
 }
 
-let create () = { grants = Hashtbl.create 64; next_tag = 1; generation = 0 }
+let create () = { rows = [||]; next_tag = 1; generation = 0 }
 
 let fresh_tag t =
   let tag = t.next_tag in
@@ -21,36 +28,42 @@ let fresh_tag t =
 
 let permission t ~src ~dst =
   if src = dst then Perm.Write
+  else if src < 0 || src >= Array.length t.rows then Perm.Nil
   else
-    match Hashtbl.find_opt t.grants (src, dst) with
-    | Some p -> p
-    | None -> Perm.Nil
+    let row = Array.unsafe_get t.rows src in
+    if dst < 0 || dst >= Array.length row then Perm.Nil else Array.unsafe_get row dst
+
+(* Grow [a] so index [i] is in range, padding with [fill]. *)
+let grown a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
 let grant t ~src ~dst perm =
   if src = dst then invalid_arg "Apl.grant: a domain's self access is implicit";
+  if src < 0 || dst < 0 then invalid_arg "Apl.grant: negative domain tag";
   t.generation <- t.generation + 1;
-  let hw = Perm.to_hardware perm in
-  if Perm.equal hw Perm.Nil then Hashtbl.remove t.grants (src, dst)
-  else Hashtbl.replace t.grants (src, dst) hw
+  t.rows <- grown t.rows src [||];
+  t.rows.(src) <- grown t.rows.(src) dst Perm.Nil;
+  t.rows.(src).(dst) <- Perm.to_hardware perm
 
 let revoke t ~src ~dst =
   t.generation <- t.generation + 1;
-  Hashtbl.remove t.grants (src, dst)
+  if src <> dst && not (Perm.equal (permission t ~src ~dst) Perm.Nil) then
+    t.rows.(src).(dst) <- Perm.Nil
 
 (* Drop a domain entirely: its own APL and every grant pointing at it. *)
 let drop_tag t tag =
   t.generation <- t.generation + 1;
-  let doomed =
-    Hashtbl.fold
-      (fun (src, dst) _ acc ->
-        if src = tag || dst = tag then (src, dst) :: acc else acc)
-      t.grants []
-  in
-  List.iter (Hashtbl.remove t.grants) doomed
-
-let grants_of t ~src =
-  Hashtbl.fold
-    (fun (s, dst) perm acc -> if s = src then (dst, perm) :: acc else acc)
-    t.grants []
+  if tag >= 0 then
+    Array.iteri
+      (fun src row ->
+        if src = tag then t.rows.(src) <- [||]
+        else if tag < Array.length row then row.(tag) <- Perm.Nil)
+      t.rows
 
 let generation t = t.generation

@@ -8,20 +8,19 @@ val create : unit -> t
 (** Allocate a fresh domain tag. *)
 val fresh_tag : t -> int
 
-(** Effective permission of code tagged [src] on pages tagged [dst]. *)
+(** Effective permission of code tagged [src] on pages tagged [dst];
+    allocation-free. *)
 val permission : t -> src:int -> dst:int -> Perm.t
 
 (** Install (or, with [Perm.Nil], remove) a grant in [src]'s APL.
-    Software [Owner] handles map to hardware write. *)
+    Software [Owner] handles map to hardware write.  Tags must be
+    non-negative. *)
 val grant : t -> src:int -> dst:int -> Perm.t -> unit
 
 val revoke : t -> src:int -> dst:int -> unit
 
 (** Remove a domain: its own APL and every grant pointing at it. *)
 val drop_tag : t -> int -> unit
-
-(** All grants in [src]'s APL. *)
-val grants_of : t -> src:int -> (int * Perm.t) list
 
 (** Bumped on every change; lets caches detect staleness. *)
 val generation : t -> int

@@ -14,20 +14,20 @@
    assumes ("this event never happens on the presented benchmarks",
    Sec. 7.5).
 
-   [lookup] is the hot path (it runs on every domain crossing): a
-   tag -> slot index makes it O(1) instead of a full-array scan with
-   polymorphic compares.  [install] keeps the original LRU victim scan —
-   refills are the cold path — and maintains the index invariant: every
-   resident tag maps to the smallest hardware slot holding it, which is
-   exactly what the old first-match scan returned. *)
+   [lookup] is the hit path (it runs on every domain crossing and every
+   GetHwTag): a first-match scan over the slot tags that returns a plain
+   int, so it neither hashes nor allocates.  Installs fill empty slots
+   from the bottom, so a workload's few live domains sit in the first
+   slots and a hit typically stops after a handful of compares.  The
+   first match is also the smallest slot holding the tag, which keeps
+   the slot choice well defined if a caller installs a resident tag
+   twice.  [install] is the cold path: an LRU victim scan. *)
 
 let capacity = 32
 
-type entry = { mutable tag : int; mutable last_use : int }
-
 type t = {
-  entries : entry array; (* index = hardware domain tag *)
-  index : (int, int) Hashtbl.t; (* tag -> smallest slot holding it *)
+  tags : int array; (* index = hardware domain tag; -1 = empty *)
+  last_use : int array;
   mutable clock : int;
   mutable generation : int; (* bumped on every [reset] (flush) *)
   mutable hits : int;
@@ -37,8 +37,8 @@ type t = {
 
 let create () =
   {
-    entries = Array.init capacity (fun _ -> { tag = -1; last_use = 0 });
-    index = Hashtbl.create capacity;
+    tags = Array.make capacity (-1);
+    last_use = Array.make capacity 0;
     clock = 0;
     generation = 0;
     hits = 0;
@@ -47,12 +47,8 @@ let create () =
   }
 
 let reset t =
-  Array.iter
-    (fun e ->
-      e.tag <- -1;
-      e.last_use <- 0)
-    t.entries;
-  Hashtbl.reset t.index;
+  Array.fill t.tags 0 capacity (-1);
+  Array.fill t.last_use 0 capacity 0;
   t.clock <- 0;
   t.generation <- t.generation + 1;
   (* Statistics must not bleed across scenario runs that reuse a machine. *)
@@ -64,64 +60,46 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-(* Hardware tag of [tag] if cached. *)
-let lookup t tag =
-  match Hashtbl.find_opt t.index tag with
-  | Some i ->
-      t.hits <- t.hits + 1;
-      t.entries.(i).last_use <- tick t;
-      Some i
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+(* Smallest slot holding [tag], or -1.  Negative tags never match, so
+   the empty-slot sentinel cannot be looked up. *)
+let rec find tags tag i =
+  if i = capacity then -1
+  else if Array.unsafe_get tags i = tag then i
+  else find tags tag (i + 1)
 
-(* Install [tag], evicting the least-recently-used entry; returns the
-   hardware tag it landed on. *)
+(* Hardware tag of [tag] if cached, else -1. *)
+let lookup t tag =
+  let i = if tag < 0 then -1 else find t.tags tag 0 in
+  if i >= 0 then begin
+    t.hits <- t.hits + 1;
+    t.last_use.(i) <- tick t
+  end
+  else t.misses <- t.misses + 1;
+  i
+
+(* Install [tag], evicting the least-recently-used entry (the first
+   empty slot if any); returns the hardware tag it landed on. *)
 let install t tag =
   let victim = ref 0 in
-  Array.iteri
-    (fun i e ->
-      if e.tag = -1 && t.entries.(!victim).tag <> -1 then victim := i
-      else if
-        e.tag <> -1
-        && t.entries.(!victim).tag <> -1
-        && e.last_use < t.entries.(!victim).last_use
-      then victim := i)
-    t.entries;
-  let e = t.entries.(!victim) in
-  let old_tag = e.tag in
-  e.tag <- tag;
-  e.last_use <- tick t;
+  for i = 0 to capacity - 1 do
+    let v = !victim in
+    if t.tags.(i) = -1 && t.tags.(v) <> -1 then victim := i
+    else if t.tags.(i) <> -1 && t.tags.(v) <> -1 && t.last_use.(i) < t.last_use.(v)
+    then victim := i
+  done;
+  t.tags.(!victim) <- tag;
+  t.last_use.(!victim) <- tick t;
   t.refills <- t.refills + 1;
-  (* Index upkeep for the evicted tag: if it was indexed at the victim
-     slot, drop it and re-point at the smallest remaining duplicate (a
-     duplicate can only exist if a caller installed a resident tag). *)
-  (if old_tag >= 0 && old_tag <> tag then
-     match Hashtbl.find_opt t.index old_tag with
-     | Some s when s = !victim -> begin
-         Hashtbl.remove t.index old_tag;
-         try
-           for i = 0 to capacity - 1 do
-             if t.entries.(i).tag = old_tag then begin
-               Hashtbl.replace t.index old_tag i;
-               raise Exit
-             end
-           done
-         with Exit -> ()
-       end
-     | _ -> ());
-  (match Hashtbl.find_opt t.index tag with
-  | Some s when s < !victim -> ()
-  | _ -> Hashtbl.replace t.index tag !victim);
   !victim
 
-(* Lookup-or-install used by the machine in auto-fill mode. *)
-let ensure t tag =
-  match lookup t tag with Some hw -> (hw, true) | None -> (install t tag, false)
+(* Hardware tag of [tag], installed on a miss: {!lookup} then {!install},
+   for callers that do not need to know whether it hit. *)
+let find_or_install t tag =
+  let hw = lookup t tag in
+  if hw >= 0 then hw else install t tag
 
 let stats t = (t.hits, t.misses, t.refills)
 
 let generation t = t.generation
 
-let resident_tags t =
-  Array.to_list t.entries |> List.filter_map (fun e -> if e.tag >= 0 then Some e.tag else None)
+let resident_tags t = Array.to_list t.tags |> List.filter (fun tag -> tag >= 0)

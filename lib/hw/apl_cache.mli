@@ -11,15 +11,17 @@ val create : unit -> t
 
 val reset : t -> unit
 
-(** Hardware tag of [tag] if resident (counts a hit or miss). *)
-val lookup : t -> int -> int option
+(** The hit path: hardware tag of [tag] if resident, else -1 (counts a
+    hit or miss).  Neither hashes nor allocates. *)
+val lookup : t -> int -> int
 
 (** Install [tag], evicting the least recently used entry; returns the
     hardware tag it landed on. *)
 val install : t -> int -> int
 
-(** Lookup-or-install; the boolean is true on a hit. *)
-val ensure : t -> int -> int * bool
+(** {!lookup}, then {!install} on a miss: the hardware tag of [tag]
+    either way. *)
+val find_or_install : t -> int -> int
 
 (** (hits, misses, refills). *)
 val stats : t -> int * int * int

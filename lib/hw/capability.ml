@@ -47,18 +47,35 @@ let pp ppf c =
 
 (* --- revocation counters for asynchronous capabilities --- *)
 
+(* One row of counters per owner tag, dense by tag (tags are small
+   consecutive integers).  A counter never bumped reads 0, and a tag
+   that never revoked anything has the shared empty row, so validating
+   an asynchronous capability of such a tag — every one on the warm
+   call paths — neither hashes nor allocates. *)
 module Revocation = struct
-  type table = { counters : (int * int, int) Hashtbl.t }
+  type table = { mutable rows : (int, int) Hashtbl.t array }
 
-  let create () = { counters = Hashtbl.create 64 }
+  let no_revocations : (int, int) Hashtbl.t = Hashtbl.create 1
+
+  let create () = { rows = [||] }
 
   let value t ~tag ~counter =
-    match Hashtbl.find_opt t.counters (tag, counter) with
-    | Some v -> v
-    | None -> 0
+    if tag < 0 || tag >= Array.length t.rows then 0
+    else
+      let row = t.rows.(tag) in
+      if Hashtbl.length row = 0 then 0
+      else match Hashtbl.find row counter with v -> v | exception Not_found -> 0
 
   (* Immediate revocation: bump the counter; every capability stamped with
      the old value becomes invalid everywhere at once. *)
   let revoke t ~tag ~counter =
-    Hashtbl.replace t.counters (tag, counter) (value t ~tag ~counter + 1)
+    if tag < 0 then invalid_arg "Revocation.revoke: negative owner tag";
+    let n = Array.length t.rows in
+    if tag >= n then begin
+      let rows = Array.make (max (tag + 1) (2 * n)) no_revocations in
+      Array.blit t.rows 0 rows 0 n;
+      t.rows <- rows
+    end;
+    if t.rows.(tag) == no_revocations then t.rows.(tag) <- Hashtbl.create 8;
+    Hashtbl.replace t.rows.(tag) counter (value t ~tag ~counter + 1)
 end

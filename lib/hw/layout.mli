@@ -21,3 +21,9 @@ val offset_in_page : int -> int
 val align_up : int -> int -> int
 
 val is_aligned : int -> int -> bool
+
+(** Number of ways of the direct-mapped page caches (a power of two). *)
+val cache_ways : int
+
+(** Way of a page number in a direct-mapped page cache. *)
+val cache_way : int -> int

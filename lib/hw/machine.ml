@@ -128,7 +128,6 @@ and ctx = {
   mutable fsbase : int; (* TLS segment base *)
   mutable tp : int; (* per-thread kernel struct pointer (gs-like) *)
   dcs : Dcs.t;
-  mutable dcs_saved : Dcs.saved list;
   mutable depth : int; (* call depth, for synchronous capability scope *)
   mutable epochs : int array; (* frame epoch per depth *)
   mutable cost : float; (* accumulated ns *)
@@ -258,17 +257,6 @@ let set_default_ras v = Atomic.set default_ras v
    never to wrong execution. *)
 let ras_capacity = 64
 
-(* Translation-cache geometry: a direct-mapped power-of-two array so a
-   lookup is one mask and one compare.  The way index mixes high page
-   bits in because workloads place code/data/stack regions at round
-   power-of-two addresses — with a plain low-bits index those regions
-   all collide in way 0 and the hot call/return path (stack page for
-   the push/pop check, code page for the transfer check) would thrash
-   exactly like the old one-entry cache did. *)
-let tlb_ways = 64
-
-let tlb_way page = (page lxor (page lsr 6) lxor (page lsr 12)) land (tlb_ways - 1)
-
 (* Never chained: generation counters only count up from 0, so the -1s
    fail the pop-side liveness guard before [s_units] is ever touched. *)
 let ras_dummy : superblock =
@@ -305,8 +293,8 @@ let create () =
     attr_of_tag = (fun _ -> Breakdown.User_code);
     next_ctx_id = 0;
     tracer = Trace.null;
-    tlb_pages = Array.make tlb_ways (-1);
-    tlb_entries = Array.make tlb_ways tlb_dummy;
+    tlb_pages = Array.make Layout.cache_ways (-1);
+    tlb_entries = Array.make Layout.cache_ways tlb_dummy;
     tlb_gen = -1;
     inject = None;
     block_cache = Atomic.get default_block_cache;
@@ -358,7 +346,7 @@ let set_posture m p = m.posture <- p
    observed through the shared record. *)
 let find_page m ~pc addr =
   let page = Layout.page_of addr in
-  let way = tlb_way page in
+  let way = Layout.cache_way page in
   if Array.unsafe_get m.tlb_pages way = page
      && Page_table.generation m.page_table = m.tlb_gen
   then Array.unsafe_get m.tlb_entries way
@@ -366,7 +354,7 @@ let find_page m ~pc addr =
     let entry = Page_table.find_exn m.page_table ~pc addr in
     let gen = Page_table.generation m.page_table in
     if gen <> m.tlb_gen then begin
-      Array.fill m.tlb_pages 0 tlb_ways (-1);
+      Array.fill m.tlb_pages 0 Layout.cache_ways (-1);
       m.tlb_gen <- gen
     end;
     m.tlb_pages.(way) <- page;
@@ -398,7 +386,6 @@ let new_ctx ?(dcs_capacity = Dcs.default_capacity) m ~pc ~sp_value =
     fsbase = 0;
     tp = 0;
     dcs = Dcs.create ~capacity:dcs_capacity ();
-    dcs_saved = [];
     depth = 0;
     epochs = Array.make 64 0;
     cost = 0.;
@@ -464,22 +451,52 @@ let page_allows (page : Page_table.page) (perm : Perm.t) =
    stream is itself the violation the checker looks for.  A capability
    grant additionally records [Cap_use] with the stamp the capability
    was minted under, which the checker replays against observed
-   [Cap_revoke] events (revocation completeness). *)
-let trace_authority m ctx ~(page : Page_table.page) ~apl_ok ~cap =
+   [Cap_revoke] events (revocation completeness).  [creg] is the
+   granting capability register, or -1. *)
+let trace_cap_use m ctx creg =
+  if creg >= 0 then
+    match ctx.cregs.(creg) with
+    | Some
+        {
+          Capability.scope = Capability.Asynchronous { owner_tag; counter; value };
+          _;
+        } ->
+        Trace.emit m.tracer ~ts:ctx.cost ~cpu:value ~tid:ctx.id ~tag:owner_tag
+          ~arg:counter Trace.Cap_use
+    | Some _ | None -> ()
+
+let trace_authority m ctx ~(page : Page_table.page) ~apl_ok ~creg =
   if page.tag <> ctx.cur_tag then begin
-    let code = if apl_ok then 2 else if cap <> None then 1 else 3 in
+    let code = if apl_ok then 2 else if creg >= 0 then 1 else 3 in
     Trace.emit m.tracer ~ts:ctx.cost ~cpu:code ~tid:ctx.id ~tag:page.tag
       ~arg:ctx.cur_tag Trace.Xtag_access
   end;
-  match cap with
-  | Some
-      {
-        Capability.scope = Capability.Asynchronous { owner_tag; counter; value };
-        _;
-      } ->
-      Trace.emit m.tracer ~ts:ctx.cost ~cpu:value ~tid:ctx.id ~tag:owner_tag
-        ~arg:counter Trace.Cap_use
-  | _ -> ()
+  trace_cap_use m ctx creg
+
+(* The first capability register (from [i] up) holding a valid
+   capability that covers [len] bytes at [addr] with [perm], or -1.
+   The cheap range and rights tests run before [cap_valid], which may
+   consult the revocation table. *)
+let rec granting_creg m ctx ~addr ~len ~perm i =
+  if i = Isa.num_cregs then -1
+  else
+    match ctx.cregs.(i) with
+    | Some cap
+      when Capability.covers cap ~addr ~len
+           && Capability.grants cap perm
+           && cap_valid m ctx cap ->
+        i
+    | Some _ | None -> granting_creg m ctx ~addr ~len ~perm (i + 1)
+
+(* CODOMs honors the per-page protection bits (Sec. 4.1): a write to a
+   non-writable page is [Write_to_readonly], any other access to a
+   non-readable page is a missing permission. *)
+let check_page_bits m ctx ~(page : Page_table.page) ~addr ~perm =
+  if not (page_allows page perm) then begin
+    if Perm.includes perm Perm.Write then
+      deny m ctx ~pc:ctx.pc ~addr Fault.Write_to_readonly
+    else deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm)
+  end
 
 (* Check that [ctx] may access [len] bytes at [addr] with [perm]; data
    accesses are satisfied by the APL of the current domain or by any of the
@@ -490,37 +507,19 @@ let check_data m ctx ~addr ~len ~perm =
     deny m ctx ~pc:ctx.pc ~addr
       (Fault.Cap_storage "regular access to a capability-storage page");
   let apl_perm = Apl.permission m.apl ~src:ctx.cur_tag ~dst:page.tag in
-  let apl_ok = Perm.includes apl_perm perm in
   (* The APL-granted case (every same-domain access) is the hot path:
-     it never consults the capability registers, so skip the scan and
-     its accumulator entirely. *)
-  if apl_ok then begin
+     it never consults the capability registers. *)
+  if Perm.includes apl_perm perm then begin
     if Trace.enabled m.tracer then
-      trace_authority m ctx ~page ~apl_ok:true ~cap:None
+      trace_authority m ctx ~page ~apl_ok:true ~creg:(-1)
   end
   else begin
-    let granted = ref None in
-    for i = 0 to Isa.num_cregs - 1 do
-      match ctx.cregs.(i) with
-      | Some cap
-        when !granted = None
-             && cap_valid m ctx cap
-             && Capability.covers cap ~addr ~len
-             && Capability.grants cap perm ->
-          granted := Some cap
-      | Some _ | None -> ()
-    done;
-    if !granted = None then
-      deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
+    let creg = granting_creg m ctx ~addr ~len ~perm 0 in
+    if creg < 0 then deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
     if Trace.enabled m.tracer then
-      trace_authority m ctx ~page ~apl_ok:false ~cap:!granted
+      trace_authority m ctx ~page ~apl_ok:false ~creg
   end;
-  (* CODOMs honors the per-page protection bits (Sec. 4.1). *)
-  if not (page_allows page perm) then begin
-    if Perm.includes perm Perm.Write then
-      deny m ctx ~pc:ctx.pc ~addr Fault.Write_to_readonly
-    else deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm)
-  end
+  check_page_bits m ctx ~page ~addr ~perm
 
 let check_cap_page m ctx ~addr ~perm =
   let page = find_page m ~pc:ctx.pc addr in
@@ -529,30 +528,29 @@ let check_cap_page m ctx ~addr ~perm =
       (Fault.Cap_storage "capability access to a regular page");
   let apl_perm = Apl.permission m.apl ~src:ctx.cur_tag ~dst:page.tag in
   let apl_ok = Perm.includes apl_perm perm in
-  let granted = ref None in
-  let allowed =
-    apl_ok
-    || begin
-         for i = 0 to Isa.num_cregs - 1 do
-           match ctx.cregs.(i) with
-           | Some cap
-             when !granted = None
-                  && cap_valid m ctx cap
-                  && Capability.covers cap ~addr ~len:Layout.cap_bytes
-                  && Capability.grants cap perm ->
-               granted := Some cap
-           | Some _ | None -> ()
-         done;
-         !granted <> None
-       end
+  let creg =
+    if apl_ok then -1 else granting_creg m ctx ~addr ~len:Layout.cap_bytes ~perm 0
   in
-  if not allowed then deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
-  if Trace.enabled m.tracer then
-    trace_authority m ctx ~page ~apl_ok ~cap:!granted;
-  if not (page_allows page perm) then
-    deny m ctx ~pc:ctx.pc ~addr Fault.Write_to_readonly
+  if (not apl_ok) && creg < 0 then
+    deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
+  if Trace.enabled m.tracer then trace_authority m ctx ~page ~apl_ok ~creg;
+  check_page_bits m ctx ~page ~addr ~perm
 
 (* --- control transfer checks (Sec. 4.1) --- *)
+
+(* The capability register carrying the strongest valid capability that
+   covers the instruction at [target], if it beats [best]; else -1.
+   Ties keep the lowest register. *)
+let rec best_transfer_creg m ctx ~target ~best i found =
+  if i = Isa.num_cregs then found
+  else
+    match ctx.cregs.(i) with
+    | Some cap
+      when Perm.rank cap.perm > Perm.rank best
+           && Capability.covers cap ~addr:target ~len:Isa.instr_bytes
+           && cap_valid m ctx cap ->
+        best_transfer_creg m ctx ~target ~best:cap.perm (i + 1) i
+    | Some _ | None -> best_transfer_creg m ctx ~target ~best (i + 1) found
 
 (* Called at fetch whenever the pc lands on a different page than the last
    executed instruction.  [ctx.cur_tag] is still the *source* domain. *)
@@ -562,42 +560,25 @@ let check_transfer m ctx target =
   let new_tag = page.tag in
   if new_tag <> ctx.cur_tag && ctx.cur_tag <> -1 then begin
     let apl_perm = Apl.permission m.apl ~src:ctx.cur_tag ~dst:new_tag in
-    let aligned = Layout.is_aligned target Layout.entry_align in
-    let best = ref apl_perm in
-    let best_cap = ref None in
-    for i = 0 to Isa.num_cregs - 1 do
-      match ctx.cregs.(i) with
-      | Some cap
-        when cap_valid m ctx cap
-             && Capability.covers cap ~addr:target ~len:Isa.instr_bytes ->
-          if Perm.rank cap.perm > Perm.rank !best then begin
-            best := cap.perm;
-            best_cap := Some cap
-          end
-      | Some _ | None -> ()
-    done;
-    (match !best with
+    let creg = best_transfer_creg m ctx ~target ~best:apl_perm 0 (-1) in
+    let best =
+      if creg < 0 then apl_perm
+      else match ctx.cregs.(creg) with Some cap -> cap.perm | None -> apl_perm
+    in
+    (match best with
     | Perm.Read | Perm.Write | Perm.Owner -> ()
     | Perm.Call ->
         (* Call permission only enters through aligned entry points. *)
-        if not aligned then deny m ctx ~pc:target Fault.Not_entry_point
+        if not (Layout.is_aligned target Layout.entry_align) then
+          deny m ctx ~pc:target Fault.Not_entry_point
     | Perm.Nil -> deny m ctx ~pc:target (Fault.No_permission Perm.Call));
     (* A crossing carried by an asynchronous capability leaves the same
        audit record as a capability-granted data access. *)
-    (if Trace.enabled m.tracer then
-       match !best_cap with
-       | Some
-           {
-             Capability.scope =
-               Capability.Asynchronous { owner_tag; counter; value };
-             _;
-           } ->
-           Trace.emit m.tracer ~ts:ctx.cost ~cpu:value ~tid:ctx.id
-             ~tag:owner_tag ~arg:counter Trace.Cap_use
-       | _ -> ());
-    if Trace.enabled m.tracer then
+    if Trace.enabled m.tracer then begin
+      trace_cap_use m ctx creg;
       Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:new_tag ~arg:ctx.cur_tag
-        Trace.Domain_cross;
+        Trace.Domain_cross
+    end;
     (match m.inject with
     | Some inj ->
         (* Injected cold APL cache: the crossing must still succeed, just
@@ -618,14 +599,14 @@ let check_transfer m ctx target =
     | None -> ());
     (* The instruction pointer now originates from the new domain; its APL
        becomes the active one, via the per-thread APL cache. *)
-    let _hw, hit = Apl_cache.ensure ctx.apl_cache new_tag in
-    if not hit then begin
+    if Apl_cache.lookup ctx.apl_cache new_tag < 0 then begin
+      ignore (Apl_cache.install ctx.apl_cache new_tag);
       if m.strict_apl_cache then
         Fault.raise_fault ~pc:target (Fault.Apl_cache_miss new_tag)
       else charge_as m ctx Breakdown.Kernel apl_cache_refill_cost
     end
   end
-  else if ctx.cur_tag = -1 then ignore (Apl_cache.ensure ctx.apl_cache new_tag);
+  else if ctx.cur_tag = -1 then ignore (Apl_cache.find_or_install ctx.apl_cache new_tag);
   ctx.cur_tag <- new_tag;
   ctx.cur_page <- Layout.page_of target;
   ctx.priv <- page.priv_cap
@@ -802,21 +783,17 @@ let exec_instr m ctx instr ~pc ~next =
     | Isa.RdFsBase r ->
         set_reg ctx r ctx.fsbase;
         ctx.pc <- next
-    | Isa.GetHwTag (d, s) -> begin
+    | Isa.GetHwTag (d, s) ->
         require_priv m ctx;
-        match Apl_cache.lookup ctx.apl_cache (reg ctx s) with
-        | Some hw ->
-            set_reg ctx d hw;
-            ctx.pc <- next
-        | None ->
-            if m.strict_apl_cache then
-              Fault.raise_fault ~pc (Fault.Apl_cache_miss (reg ctx s))
-            else begin
-              charge_as m ctx Breakdown.Kernel apl_cache_refill_cost;
-              set_reg ctx d (Apl_cache.install ctx.apl_cache (reg ctx s));
-              ctx.pc <- next
-            end
-      end
+        let hw = Apl_cache.lookup ctx.apl_cache (reg ctx s) in
+        if hw >= 0 then set_reg ctx d hw
+        else if m.strict_apl_cache then
+          Fault.raise_fault ~pc (Fault.Apl_cache_miss (reg ctx s))
+        else begin
+          charge_as m ctx Breakdown.Kernel apl_cache_refill_cost;
+          set_reg ctx d (Apl_cache.install ctx.apl_cache (reg ctx s))
+        end;
+        ctx.pc <- next
     | Isa.CapAplDerive (c, rb, rl, perm) ->
         let cap =
           derive_from_apl m ctx ~pc ~base:(reg ctx rb) ~len:(reg ctx rl) ~perm
@@ -873,8 +850,8 @@ let exec_instr m ctx instr ~pc ~next =
         let addr = reg ctx rb + o in
         check_cap_page m ctx ~addr ~perm:Perm.Read;
         match Memory.load_cap m.mem addr with
-        | Some cap ->
-            ctx.cregs.(c) <- Some cap;
+        | Some _ as cell ->
+            ctx.cregs.(c) <- cell;
             ctx.pc <- next
         | None -> Fault.raise_fault ~pc ~addr Fault.Cap_invalid
       end
@@ -896,23 +873,18 @@ let exec_instr m ctx instr ~pc ~next =
         ctx.pc <- next
     | Isa.DcsSwitch r ->
         require_priv m ctx;
-        ctx.dcs_saved <- Dcs.switch ctx.dcs ~pc ~args:(reg ctx r) :: ctx.dcs_saved;
+        Dcs.switch ctx.dcs ~pc ~args:(reg ctx r);
         if Trace.enabled m.tracer then
           Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
             ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_adjust;
         ctx.pc <- next
-    | Isa.DcsRestore r -> begin
+    | Isa.DcsRestore r ->
         require_priv m ctx;
-        match ctx.dcs_saved with
-        | saved :: rest ->
-            Dcs.restore ctx.dcs ~pc ~rets:(reg ctx r) saved;
-            ctx.dcs_saved <- rest;
-            if Trace.enabled m.tracer then
-              Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
-                ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_adjust;
-            ctx.pc <- next
-        | [] -> Fault.raise_fault ~pc (Fault.Dcs_bounds "no saved DCS to restore")
-      end)
+        Dcs.restore ctx.dcs ~pc ~rets:(reg ctx r);
+        if Trace.enabled m.tracer then
+          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+            ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_adjust;
+        ctx.pc <- next)
 
 let step_unlogged m ctx =
   if ctx.halted then `Halted
@@ -1277,12 +1249,11 @@ let sb_live m sb =
   && sb.s_apl_gen = Apl.generation m.apl
 
 let find_superblock m ctx pc =
-  match Hashtbl.find_opt m.sblocks pc with
-  | Some sb when sb.s_tag = ctx.cur_tag && sb.s_priv = ctx.priv && sb_live m sb
-    ->
+  match Hashtbl.find m.sblocks pc with
+  | sb when sb.s_tag = ctx.cur_tag && sb.s_priv = ctx.priv && sb_live m sb ->
       m.ctr_sb_hits <- m.ctr_sb_hits + 1;
       sb
-  | _ ->
+  | _ | (exception Not_found) ->
       let sb = translate_superblock m ~pc ~tag:ctx.cur_tag ~priv:ctx.priv in
       m.ctr_sb_translations <- m.ctr_sb_translations + 1;
       Hashtbl.replace m.sblocks pc sb;
@@ -1300,9 +1271,10 @@ let ras_push m ~cont_pc ~sb ~uidx =
   if m.ras_len < ras_capacity then m.ras_len <- m.ras_len + 1
 
 (* Execute a superblock from its entry unit until a planned chain end, a
-   side exit, fuel exhaustion or a halt.  The caller (the dispatcher in
-   [run]) guarantees [!remaining >= 1], [ctx] not halted, [ctx.pc =
-   sb.s_pc] and the transfer check for the entry already performed.
+   side exit, fuel exhaustion or a halt, and return the fuel left.  The
+   caller (the dispatcher in [run]) guarantees [fuel >= 1], [ctx] not
+   halted, [ctx.pc = sb.s_pc] and the transfer check for the entry
+   already performed.
 
    Charge order replays the reference interpreter exactly: per
    instruction one [instret] bump, one [cost +. c] and one Breakdown
@@ -1352,7 +1324,8 @@ let ras_push m ~cont_pc ~sb ~uidx =
    foreign code) are never chained, and data stores cannot touch the
    separate code store — so generation counters are checked at entry
    and at every cross-superblock hop, not per static junction. *)
-let exec_superblock m ctx sb0 remaining =
+let exec_superblock m ctx sb0 fuel =
+  let remaining = ref fuel in
   let units = ref sb0.s_units in
   let cur_sb = ref sb0 in
   let idx = ref 0 in
@@ -1371,6 +1344,7 @@ let exec_superblock m ctx sb0 remaining =
      A self-looping unit therefore charges a whole hot loop without a
      single closure re-resolution. *)
   let cat_i = ref (Breakdown.category_index (m.attr_of_tag ctx.cur_tag)) in
+  let cells = Breakdown.cells ctx.breakdown in
   let continue_ = ref true in
   while !continue_ do
     let u = Array.unsafe_get !units !idx in
@@ -1383,7 +1357,7 @@ let exec_superblock m ctx sb0 remaining =
       ctx.instret <- ctx.instret + 1;
       let c = Array.unsafe_get costs i in
       ctx.cost <- ctx.cost +. c;
-      Breakdown.charge_idx ctx.breakdown ci c;
+      Array.unsafe_set cells ci (Array.unsafe_get cells ci +. c);
       (Array.unsafe_get code i) ctx
     done;
     if k < u.u_len then continue_ := false (* out of fuel mid-body *)
@@ -1400,7 +1374,7 @@ let exec_superblock m ctx sb0 remaining =
             ctx.instret <- ctx.instret + 1;
             let c = u.u_term_cost in
             ctx.cost <- ctx.cost +. c;
-            Breakdown.charge_idx ctx.breakdown ci c;
+            Array.unsafe_set cells ci (Array.unsafe_get cells ci +. c);
             u.u_term_code ctx;
             (* A call that completed predicts its return. *)
             if u.u_cont_idx >= 0 then
@@ -1548,7 +1522,8 @@ let exec_superblock m ctx sb0 remaining =
             end
       end
     end
-  done
+  done;
+  !remaining
 
 (* Warm the superblock cache for an entry point before any thread runs
    it — called at proxy/template generation time so the first dIPC
@@ -1604,7 +1579,7 @@ let run ?(fuel = 10_000_000) m ctx =
           | `Halted -> running := false
           | `Running -> ()
         end
-        else exec_superblock m ctx sb remaining
+        else remaining := exec_superblock m ctx sb !remaining
       end
       else begin
         (* PR 5 one-block-at-a-time dispatch, kept verbatim: the
@@ -1637,12 +1612,13 @@ let run ?(fuel = 10_000_000) m ctx =
           remaining := !remaining - k;
           let cat_i = Breakdown.category_index (m.attr_of_tag ctx.cur_tag) in
           let instrs = b.b_instrs and costs = b.b_costs in
+          let cells = Breakdown.cells ctx.breakdown in
           for i = 0 to k - 1 do
             let pc = ctx.pc in
             ctx.instret <- ctx.instret + 1;
             let c = Array.unsafe_get costs i in
             ctx.cost <- ctx.cost +. c;
-            Breakdown.charge_idx ctx.breakdown cat_i c;
+            Array.unsafe_set cells cat_i (Array.unsafe_get cells cat_i +. c);
             exec_instr m ctx
               (Array.unsafe_get instrs i)
               ~pc ~next:(pc + Isa.instr_bytes)
@@ -1673,7 +1649,7 @@ let force_transfer m ctx ~target =
   ctx.cur_page <- Layout.page_of target;
   ctx.priv <- page.priv_cap;
   ctx.halted <- false;
-  ignore (Apl_cache.ensure ctx.apl_cache page.tag)
+  ignore (Apl_cache.find_or_install ctx.apl_cache page.tag)
 
 (* Kernel-privilege frame adjustment for unwinding: drop to [depth],
    invalidating every synchronous capability created in the dropped

@@ -33,7 +33,6 @@ type ctx = {
   mutable fsbase : int;  (** TLS segment base *)
   mutable tp : int;  (** per-thread kernel struct pointer *)
   dcs : Dcs.t;
-  mutable dcs_saved : Dcs.saved list;
   mutable depth : int;  (** call depth (synchronous capability scope) *)
   mutable epochs : int array;  (** frame epoch per depth *)
   mutable cost : float;  (** accumulated simulated ns *)

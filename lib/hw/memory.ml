@@ -9,15 +9,16 @@
 
    Representation: page-granular chunked arrays.  Each store maps a page
    number to a flat array covering that page, allocated on first store;
-   within a page an access is a direct array index.  A one-entry
-   last-page cache per store keeps straight-line execution (fetch at
-   consecutive pcs, loads/stores into the same buffer) off the page
-   Hashtbl entirely, and a matching one-entry absent-page cache keeps
-   repeated reads from an untouched page off the Hashtbl too (allocating
-   nothing: the store's neutral element 0 / None is returned directly).
-   The absent-page entry is dropped as soon as a chunk is allocated for
-   any page of that store, so a first store to the page is immediately
-   visible to subsequent loads.
+   within a page an access is a direct array index.  In front of each
+   store's page Hashtbl sits a direct-mapped page cache
+   ({!Layout.cache_way}), so the handful of pages a warm call alternates
+   between (code, stack, thread struct, kernel call stack) each keep
+   their own way instead of evicting one another.  A page with no chunk
+   is cached too, as the store's shared [absent] chunk: an all-neutral
+   array (0 / None) that reads return from directly and that is never
+   written — a store that finds it allocates the page's real chunk and
+   overwrites the way, so a first store to a page is immediately visible
+   to subsequent loads.
 
    [code_gen] counts [place_code] calls: it versions the code store so
    the machine's translated-block cache can tell whether any code it
@@ -29,160 +30,91 @@
 
 let page_mask = Layout.page_size - 1
 
-let words_per_page = Layout.page_size / Layout.word_size
-
-let caps_per_page = Layout.page_size / Layout.cap_bytes
-
-let instrs_per_page = Layout.page_size / Isa.instr_bytes
+type 'a store = {
+  chunks : (int, 'a array) Hashtbl.t;
+  absent : 'a array;
+  way_page : int array; (* page cached in each way; -1 = none *)
+  way_chunk : 'a array array;
+}
 
 type t = {
-  words : (int, int array) Hashtbl.t;
-  caps : (int, Capability.t option array) Hashtbl.t;
-  code : (int, Isa.instr option array) Hashtbl.t;
-  mutable last_wpage : int;
-  mutable last_wchunk : int array;
-  mutable last_cpage : int;
-  mutable last_cchunk : Capability.t option array;
-  mutable last_ipage : int;
-  mutable last_ichunk : Isa.instr option array;
-  (* One-entry absent-page caches: page numbers known to have no chunk
-     in the corresponding store (-1 = none cached). *)
-  mutable miss_wpage : int;
-  mutable miss_cpage : int;
-  mutable miss_ipage : int;
+  words : int store;
+  caps : Capability.t option store;
+  code : Isa.instr option store;
   mutable code_count : int; (* placed instruction slots *)
   mutable code_gen : int; (* bumped by every [place_code] *)
 }
 
 (* [Layout.page_of] is a logical shift, so page numbers are never
    negative: -1 is a safe "no page cached" sentinel. *)
+let new_store ~slot_bytes fill =
+  let absent = Array.make (Layout.page_size / slot_bytes) fill in
+  {
+    chunks = Hashtbl.create 64;
+    absent;
+    way_page = Array.make Layout.cache_ways (-1);
+    way_chunk = Array.make Layout.cache_ways absent;
+  }
+
 let create () =
   {
-    words = Hashtbl.create 64;
-    caps = Hashtbl.create 16;
-    code = Hashtbl.create 16;
-    last_wpage = -1;
-    last_wchunk = [||];
-    last_cpage = -1;
-    last_cchunk = [||];
-    last_ipage = -1;
-    last_ichunk = [||];
-    miss_wpage = -1;
-    miss_cpage = -1;
-    miss_ipage = -1;
+    words = new_store ~slot_bytes:Layout.word_size 0;
+    caps = new_store ~slot_bytes:Layout.cap_bytes None;
+    code = new_store ~slot_bytes:Isa.instr_bytes None;
     code_count = 0;
     code_gen = 0;
   }
 
+(* The chunk covering [page], or [s.absent] when the page has none. *)
+let read_chunk s page =
+  let w = Layout.cache_way page in
+  if Array.unsafe_get s.way_page w = page then Array.unsafe_get s.way_chunk w
+  else begin
+    let c = match Hashtbl.find s.chunks page with c -> c | exception Not_found -> s.absent in
+    s.way_page.(w) <- page;
+    s.way_chunk.(w) <- c;
+    c
+  end
+
+(* The chunk covering [page], allocated on first use. *)
+let write_chunk s page =
+  let c = read_chunk s page in
+  if c != s.absent then c
+  else begin
+    let c = Array.make (Array.length s.absent) s.absent.(0) in
+    Hashtbl.add s.chunks page c;
+    s.way_chunk.(Layout.cache_way page) <- c;
+    c
+  end
+
 let check_word_aligned addr =
   if addr land 7 <> 0 then invalid_arg (Printf.sprintf "unaligned word access 0x%x" addr)
 
-let word_chunk t page =
-  match Hashtbl.find_opt t.words page with
-  | Some c ->
-      t.last_wpage <- page;
-      t.last_wchunk <- c;
-      c
-  | None ->
-      let c = Array.make words_per_page 0 in
-      Hashtbl.add t.words page c;
-      t.last_wpage <- page;
-      t.last_wchunk <- c;
-      t.miss_wpage <- -1;
-      c
-
 let load_word t addr =
   check_word_aligned addr;
-  let page = Layout.page_of addr in
-  if page = t.last_wpage then t.last_wchunk.((addr land page_mask) lsr 3)
-  else if page = t.miss_wpage then 0
-  else
-    match Hashtbl.find_opt t.words page with
-    | Some c ->
-        t.last_wpage <- page;
-        t.last_wchunk <- c;
-        c.((addr land page_mask) lsr 3)
-    | None ->
-        t.miss_wpage <- page;
-        0
+  (read_chunk t.words (Layout.page_of addr)).((addr land page_mask) lsr 3)
 
 let store_word t addr v =
   check_word_aligned addr;
-  let page = Layout.page_of addr in
-  let c = if page = t.last_wpage then t.last_wchunk else word_chunk t page in
-  c.((addr land page_mask) lsr 3) <- v
+  (write_chunk t.words (Layout.page_of addr)).((addr land page_mask) lsr 3) <- v
 
 let check_cap_aligned addr =
   if addr land (Layout.cap_bytes - 1) <> 0 then
     invalid_arg (Printf.sprintf "unaligned capability access 0x%x" addr)
 
-let cap_chunk t page =
-  match Hashtbl.find_opt t.caps page with
-  | Some c ->
-      t.last_cpage <- page;
-      t.last_cchunk <- c;
-      c
-  | None ->
-      let c = Array.make caps_per_page None in
-      Hashtbl.add t.caps page c;
-      t.last_cpage <- page;
-      t.last_cchunk <- c;
-      t.miss_cpage <- -1;
-      c
-
 let load_cap t addr =
   check_cap_aligned addr;
-  let page = Layout.page_of addr in
-  if page = t.last_cpage then t.last_cchunk.((addr land page_mask) lsr 5)
-  else if page = t.miss_cpage then None
-  else
-    match Hashtbl.find_opt t.caps page with
-    | Some c ->
-        t.last_cpage <- page;
-        t.last_cchunk <- c;
-        c.((addr land page_mask) lsr 5)
-    | None ->
-        t.miss_cpage <- page;
-        None
+  (read_chunk t.caps (Layout.page_of addr)).((addr land page_mask) lsr 5)
 
 let store_cap t addr cap =
   check_cap_aligned addr;
-  let page = Layout.page_of addr in
-  let c = if page = t.last_cpage then t.last_cchunk else cap_chunk t page in
-  c.((addr land page_mask) lsr 5) <- Some cap
+  (write_chunk t.caps (Layout.page_of addr)).((addr land page_mask) lsr 5) <- Some cap
 
 (* Misaligned fetch addresses never hold an instruction (code is placed
    at 4-aligned slots only), matching the old per-address table. *)
 let fetch t addr =
   if addr land (Isa.instr_bytes - 1) <> 0 then None
-  else begin
-    let page = Layout.page_of addr in
-    if page = t.last_ipage then t.last_ichunk.((addr land page_mask) lsr 2)
-    else if page = t.miss_ipage then None
-    else
-      match Hashtbl.find_opt t.code page with
-      | Some c ->
-          t.last_ipage <- page;
-          t.last_ichunk <- c;
-          c.((addr land page_mask) lsr 2)
-      | None ->
-          t.miss_ipage <- page;
-          None
-  end
-
-let code_chunk t page =
-  match Hashtbl.find_opt t.code page with
-  | Some c ->
-      t.last_ipage <- page;
-      t.last_ichunk <- c;
-      c
-  | None ->
-      let c = Array.make instrs_per_page None in
-      Hashtbl.add t.code page c;
-      t.last_ipage <- page;
-      t.last_ichunk <- c;
-      t.miss_ipage <- -1;
-      c
+  else (read_chunk t.code (Layout.page_of addr)).((addr land page_mask) lsr 2)
 
 (* Place a straight-line instruction sequence at [addr]; returns the first
    address past it. *)
@@ -193,7 +125,7 @@ let place_code t ~addr instrs =
   List.iteri
     (fun i instr ->
       let a = addr + (i * Isa.instr_bytes) in
-      let c = code_chunk t (Layout.page_of a) in
+      let c = write_chunk t.code (Layout.page_of a) in
       let slot = (a land page_mask) lsr 2 in
       if c.(slot) = None then t.code_count <- t.code_count + 1;
       c.(slot) <- Some instr)

@@ -65,6 +65,8 @@ let charge t category ns =
    (categories map to 0..8), so the update skips the bounds check. *)
 let charge_idx t i ns = Array.unsafe_set t.cells i (Array.unsafe_get t.cells i +. ns)
 
+let cells t = t.cells
+
 let get t category = t.cells.(category_index category)
 
 let total t = Array.fold_left ( +. ) 0. t.cells

@@ -36,6 +36,12 @@ val charge : t -> category -> float -> unit
     for hot call sites that charge one category into several breakdowns. *)
 val charge_idx : t -> int -> float -> unit
 
+(** The cells themselves, indexed by {!category_index}, for per-instruction
+    loops in other modules: an update written out at the call site keeps
+    the charged float unboxed, where a call to {!charge_idx} across the
+    module boundary would box it.  Callers may only add to a cell. *)
+val cells : t -> float array
+
 val get : t -> category -> float
 
 val total : t -> float

@@ -361,9 +361,9 @@ let test_kill_unwinds_running_callee () =
   Alcotest.(check int) "errno marks the kill" Types.err_callee_killed
     (Sys_.errno d.t d.th)
 
-let test_unwind_skips_dead_intermediate () =
-  (* web -> php -> db; php dies while db spins; the kill must unwind past
-     php's dead frame to web. *)
+(* web -> php -> db, every link under [props], with [th] spinning in
+   db. *)
+let spinning_chain ~props () =
   let t = Sys_.create () in
   let resolver = Resolver.create () in
   let db = Sys_.create_process t ~name:"db" in
@@ -372,29 +372,31 @@ let test_unwind_skips_dead_intermediate () =
   ignore
     (Dipc_hw.Memory.place_code t.Sys_.machine.Sys_.Machine.mem ~addr:spin
        [ Isa.Jmp spin ]);
-  let db_handle =
-    Annot.declare_entries t db_img ~name:"db" [ ("spin", sig2, Types.props_none) ]
-  in
+  let db_handle = Annot.declare_entries t db_img ~name:"db" [ ("spin", sig2, props) ] in
   Resolver.publish resolver ~path:"/db" db_handle;
   let php = Sys_.create_process t ~name:"php" in
   let php_img = Annot.image t php in
-  let php_sym = Annot.import php_img ~path:"/db" ~sig_:sig2 ~props:Types.props_none () in
+  let php_sym = Annot.import php_img ~path:"/db" ~sig_:sig2 ~props () in
   let db_stub = Annot.resolve t resolver php_sym in
   ignore
     (Annot.declare_function t php_img ~name:"page" [ Isa.Call db_stub; Isa.Ret ]);
-  let php_handle =
-    Annot.declare_entries t php_img ~name:"php" [ ("page", sig2, Types.props_none) ]
-  in
+  let php_handle = Annot.declare_entries t php_img ~name:"php" [ ("page", sig2, props) ] in
   Resolver.publish resolver ~path:"/php" php_handle;
   let web = Sys_.create_process t ~name:"web" in
   let web_img = Annot.image t web in
-  let web_sym = Annot.import web_img ~path:"/php" ~sig_:sig2 ~props:Types.props_none () in
+  let web_sym = Annot.import web_img ~path:"/php" ~sig_:sig2 ~props () in
   let web_stub = Annot.resolve t resolver web_sym in
   let th = Sys_.create_thread t web in
   Call.setup t th ~fn:web_stub ~args:[ 0; 0 ];
   (match Call.run t th ~fuel:50_000 () with
   | exception Machine.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected to be spinning in db");
+  (t, th, php, db)
+
+let test_unwind_skips_dead_intermediate () =
+  (* php dies while db spins; the kill must unwind past php's dead frame
+     to web. *)
+  let t, th, php, db = spinning_chain ~props:Types.props_none () in
   Sys_.kill_process t php;
   Sys_.kill_process t db;
   (match Call.deliver_kill t th with
@@ -405,6 +407,156 @@ let test_unwind_skips_dead_intermediate () =
   | Error f -> Alcotest.failf "web should complete: %s" (Fault.to_string f));
   Alcotest.(check int) "errno delivered to web" Types.err_callee_killed
     (Sys_.errno t th)
+
+(* After any history, a DCS switch exposes exactly its arguments: the
+   reused callee stack holds nothing from an earlier activation. *)
+let check_fresh_dcs_switch (dcs : Dipc_hw.Dcs.t) =
+  let cap id =
+    {
+      Dipc_hw.Capability.base = id;
+      length = 8;
+      perm = Perm.Read;
+      scope = Dipc_hw.Capability.Synchronous { thread = 0; depth = 0; epoch = 0 };
+    }
+  in
+  Dipc_hw.Dcs.push dcs ~pc:0 (cap 41);
+  Dipc_hw.Dcs.push dcs ~pc:0 (cap 42);
+  Dipc_hw.Dcs.switch dcs ~pc:0 ~args:2;
+  Alcotest.(check (list int)) "only the arguments" [ 42; 41 ]
+    (List.init 2 (fun _ -> (Dipc_hw.Dcs.pop dcs ~pc:0).Dipc_hw.Capability.base));
+  match Dipc_hw.Dcs.pop dcs ~pc:0 with
+  | _ -> Alcotest.fail "popped past the arguments of a fresh switch"
+  | exception Fault.Fault { Fault.kind = Fault.Dcs_bounds _; _ } -> ()
+
+(* The same unwind with every link DCS-switched: the dead php frame's
+   detached stack is dropped, web's proxy restores its own, and the
+   stacks reused afterwards are clean. *)
+let test_unwind_drops_switched_frame () =
+  let t, th, php, db = spinning_chain ~props:Types.props_high () in
+  let dcs = th.Sys_.t_ctx.Machine.dcs in
+  Alcotest.(check int) "two switched frames while spinning" 2
+    (Dipc_hw.Dcs.saved_depth dcs);
+  Sys_.kill_process t php;
+  Sys_.kill_process t db;
+  (match Call.deliver_kill t th with
+  | `Resumed -> ()
+  | `Dead -> Alcotest.fail "web is alive and must be resumed");
+  Alcotest.(check int) "php's frame dropped" 1 (Dipc_hw.Dcs.saved_depth dcs);
+  (match Call.run t th () with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "web should complete: %s" (Fault.to_string f));
+  Alcotest.(check int) "errno delivered to web" Types.err_callee_killed
+    (Sys_.errno t th);
+  Alcotest.(check int) "web's stack restored" 0 (Dipc_hw.Dcs.saved_depth dcs);
+  check_fresh_dcs_switch dcs;
+  check_fresh_dcs_switch dcs
+
+(* web -> php -> db, every link DCS-switched.  web pushes a private
+   entry (an 8-byte window at its stack pointer) and calls php; php
+   pushes [pushes] copies of its own stack capability, calls db through
+   [db_sig], and returns the DCS depth it then sees, its top entry
+   going back to web as the one capability result.  The run bounds the
+   resumes, so a proxy that keeps faulting fails the test instead of
+   hanging it. *)
+let private_entry_chain ~db_sig ~db_body ~pushes =
+  let props = Types.props_high in
+  let web_sig = Types.signature ~args:2 ~rets:1 ~cap_rets:1 () in
+  let t = Sys_.create () in
+  let resolver = Resolver.create () in
+  let db = Sys_.create_process t ~name:"db" in
+  let db_img = Annot.image t db in
+  ignore (Annot.declare_function t db_img ~name:"body" db_body);
+  Resolver.publish resolver ~path:"/db"
+    (Annot.declare_entries t db_img ~name:"db" [ ("body", db_sig, props) ]);
+  let php = Sys_.create_process t ~name:"php" in
+  let php_img = Annot.image t php in
+  let db_stub =
+    Annot.resolve t resolver (Annot.import php_img ~path:"/db" ~sig_:db_sig ~props ())
+  in
+  let page =
+    [
+      Isa.Const (1, pushes);
+      Isa.CapPush Sys_.stack_creg (* loop head *);
+      Isa.Addi (1, 1, -1);
+      Isa.Bnez (1, 0) (* patched below *);
+      Isa.Call db_stub;
+      Isa.DcsGetTop 0;
+      Isa.Ret;
+    ]
+  in
+  let page_addr = Annot.declare_function t php_img ~name:"page" page in
+  ignore
+    (Dipc_hw.Memory.place_code t.Sys_.machine.Sys_.Machine.mem ~addr:page_addr
+       (List.mapi
+          (fun i ins -> if i = 3 then Isa.Bnez (1, page_addr + Isa.instr_bytes) else ins)
+          page));
+  Resolver.publish resolver ~path:"/php"
+    (Annot.declare_entries t php_img ~name:"php" [ ("page", web_sig, props) ]);
+  let web = Sys_.create_process t ~name:"web" in
+  let web_img = Annot.image t web in
+  let php_stub =
+    Annot.resolve t resolver (Annot.import web_img ~path:"/php" ~sig_:web_sig ~props ())
+  in
+  let main =
+    Annot.declare_function t web_img ~name:"main"
+      [
+        Isa.Mov (12, Isa.sp);
+        Isa.Const (13, 8);
+        Isa.CapRestrict (0, Sys_.stack_creg, 12, 13, Perm.Read);
+        Isa.CapPush 0;
+        Isa.Call php_stub;
+        Isa.Ret;
+      ]
+  in
+  let th = Sys_.create_thread t web in
+  let rec run resumes =
+    match Machine.run ~fuel:1_000_000 t.Sys_.machine th.Sys_.t_ctx with
+    | () -> Ok th.Sys_.t_ctx.Machine.regs.(0)
+    | exception Fault.Fault f -> (
+        if resumes = 0 then Alcotest.failf "still faulting: %s" (Fault.to_string f);
+        match Call.unwind t th ~code:Types.err_callee_fault with
+        | `Resumed -> run (resumes - 1)
+        | `Dead -> Error f)
+  in
+  Call.setup t th ~fn:main ~args:[];
+  (t, th, run 4)
+
+(* After php's call to db faulted in a DCS proxy: php saw only its own
+   [pushes] entries, and web's stack holds its private entry under
+   php's result. *)
+let check_outer_stack_kept (t, th, result) ~pushes =
+  (match result with
+  | Ok depth -> Alcotest.(check int) "php resumed on its own stack" pushes depth
+  | Error f -> Alcotest.failf "web should complete: %s" (Fault.to_string f));
+  Alcotest.(check int) "fault flagged to php" Types.err_callee_fault (Sys_.errno t th);
+  let dcs = th.Sys_.t_ctx.Machine.dcs in
+  Alcotest.(check int) "every switch restored" 0 (Dipc_hw.Dcs.saved_depth dcs);
+  Alcotest.(check int) "web's entry + php's result" 2 (Dipc_hw.Dcs.depth dcs);
+  let result = Dipc_hw.Dcs.pop dcs ~pc:0 in
+  Alcotest.(check int) "result is php's stack capability" Sys_.stack_bytes
+    result.Dipc_hw.Capability.length;
+  let own = Dipc_hw.Dcs.pop dcs ~pc:0 in
+  Alcotest.(check (pair int int)) "web's private entry kept"
+    (th.Sys_.t_stack_top - 8, 8)
+    (own.Dipc_hw.Capability.base, own.Dipc_hw.Capability.length)
+
+(* php fills its stack to capacity, so db's capability result overflows
+   it on restore. *)
+let test_restore_overflow_keeps_outer_stack () =
+  let pushes = Dipc_hw.Dcs.default_capacity in
+  check_outer_stack_kept ~pushes
+    (private_entry_chain ~pushes
+       ~db_sig:(Types.signature ~args:2 ~rets:1 ~cap_rets:1 ())
+       ~db_body:[ Isa.CapPush Sys_.stack_creg; Isa.Ret ])
+
+(* php passes fewer capability arguments than db's signature declares,
+   so the switch itself faults, after the KCS entry is flagged. *)
+let test_short_dcs_args_keep_outer_stack () =
+  let pushes = 2 in
+  check_outer_stack_kept ~pushes
+    (private_entry_chain ~pushes
+       ~db_sig:(Types.signature ~args:2 ~rets:1 ~cap_args:3 ())
+       ~db_body:[ Isa.Ret ])
 
 (* --- time-outs by thread splitting (Sec. 5.4) --- *)
 
@@ -457,6 +609,35 @@ let test_timeout_split () =
   | Error f -> Alcotest.failf "callee crashed: %s" (Fault.to_string f));
   Alcotest.(check bool) "callee thread exited" true
     callee_th.Sys_.t_ctx.Machine.halted
+
+(* Splitting a DCS-switched call gives the callee thread its own copy of
+   the switched stacks; both sides finish, and both DCSs stay clean. *)
+let test_timeout_split_after_dcs_switch () =
+  let d = make_slow_duo ~props:Types.props_high () in
+  Call.setup d.t d.th ~fn:d.stub ~args:[ 1; 2 ];
+  (match Call.run d.t d.th ~fuel:10_000 () with
+  | exception Machine.Out_of_fuel -> ()
+  | _ -> Alcotest.fail "expected the callee to still be running");
+  let caller_dcs = d.th.Sys_.t_ctx.Machine.dcs in
+  Alcotest.(check int) "callee runs on a switched DCS" 1
+    (Dipc_hw.Dcs.saved_depth caller_dcs);
+  let callee_th =
+    match Call.split_timeout d.t d.th with Ok th -> th | Error e -> Alcotest.fail e
+  in
+  let callee_dcs = callee_th.Sys_.t_ctx.Machine.dcs in
+  Alcotest.(check int) "split copies the switched frame" 1
+    (Dipc_hw.Dcs.saved_depth callee_dcs);
+  (match Call.run d.t d.th () with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "caller must resume: %s" (Fault.to_string f));
+  Alcotest.(check int) "errno is timeout" Types.err_timeout (Sys_.errno d.t d.th);
+  (match Call.run d.t callee_th () with
+  | Ok v -> Alcotest.(check int) "callee finished its work" 7 v
+  | Error f -> Alcotest.failf "callee crashed: %s" (Fault.to_string f));
+  Alcotest.(check int) "caller restored" 0 (Dipc_hw.Dcs.saved_depth caller_dcs);
+  Alcotest.(check int) "callee restored" 0 (Dipc_hw.Dcs.saved_depth callee_dcs);
+  check_fresh_dcs_switch caller_dcs;
+  check_fresh_dcs_switch callee_dcs
 
 let test_timeout_split_requires_stack_confidentiality () =
   let d = make_slow_duo ~props:Types.props_none () in
@@ -668,10 +849,18 @@ let suites =
         Alcotest.test_case "crash without caller" `Quick test_crash_without_caller_kills_thread;
         Alcotest.test_case "kill unwinds callee" `Quick test_kill_unwinds_running_callee;
         Alcotest.test_case "dead intermediate skipped" `Quick test_unwind_skips_dead_intermediate;
+        Alcotest.test_case "dead switched frame dropped" `Quick
+          test_unwind_drops_switched_frame;
+        Alcotest.test_case "restore overflow keeps outer stack" `Quick
+          test_restore_overflow_keeps_outer_stack;
+        Alcotest.test_case "short DCS arguments keep outer stack" `Quick
+          test_short_dcs_args_keep_outer_stack;
       ] );
     ( "security.timeouts",
       [
         Alcotest.test_case "split (Sec. 5.4)" `Quick test_timeout_split;
+        Alcotest.test_case "split after a DCS switch" `Quick
+          test_timeout_split_after_dcs_switch;
         Alcotest.test_case "split needs own stack" `Quick
           test_timeout_split_requires_stack_confidentiality;
       ] );
