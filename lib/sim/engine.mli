@@ -51,6 +51,9 @@ val suspend : ('a waker -> unit) -> 'a
 (** Fire a waker; raises [Invalid_argument] if fired twice. *)
 val resume : 'a waker -> 'a -> unit
 
+(** Raised by {!run} and {!run_until}, never inside a simulated thread,
+    when firing the next event would exceed the step limit; that event
+    has already been popped and counted in {!steps}. *)
 exception Step_limit_exceeded
 
 (** Run until the event queue drains. *)

@@ -854,6 +854,43 @@ let test_warm_call_allocation () =
         Alcotest.failf "%s: %.1f minor words per warm call, ceiling %d" name words ceiling)
     warm_call_word_ceilings
 
+(* --- allocation gate: minor words per engine step in an OLTP cell --- *)
+
+(* Ceiling on the minor-heap words per engine step (a fired event or a
+   fast-path delay) of a small untraced Linux OLTP cell: 8 threads per
+   tier, a 5 ms warm-up and a 50 ms measured window.  Like the warm-call
+   gate this is an exact measurement, not a timing: it covers the event
+   heap, effect dispatch and the kernel model's per-event work, plus
+   the cell's fixed set-up, and moves only when the code path does.
+   Measured 8.29.  Lower the ceiling when a change removes allocation;
+   never raise it. *)
+let oltp_words_per_step_ceiling = 8.3
+
+let test_oltp_allocation () =
+  let module O = Dipc_workloads.Oltp in
+  let threads = 8 in
+  let p =
+    { (O.default_params ~db_mode:O.In_memory ~threads) with O.warmup = 5e6; duration = 5e7 }
+  in
+  let steps = ref 0 in
+  let drive e deadline =
+    Dipc_sim.Engine.run_until e deadline;
+    steps := Dipc_sim.Engine.steps e
+  in
+  let w0 = Gc.minor_words () in
+  let r =
+    O.run ~params_override:(Some p) ~drive_until:drive ~config:O.Linux
+      ~db_mode:O.In_memory ~threads ()
+  in
+  let words = Gc.minor_words () -. w0 in
+  (* Pin the run itself, so the gate always measures the same timeline. *)
+  Alcotest.(check int) "operations" 16 r.O.r_ops;
+  Alcotest.(check int) "engine steps" 51565 !steps;
+  let per_step = words /. float_of_int !steps in
+  if per_step > oltp_words_per_step_ceiling then
+    Alcotest.failf "%.3f minor words per engine step, ceiling %.2f" per_step
+      oltp_words_per_step_ceiling
+
 (* --- trace digest: optimized fold equals the byte-at-a-time reference --- *)
 
 (* Independent FNV-1a implementation (the straightforward one the digest
@@ -1003,7 +1040,10 @@ let suites =
       ]
       @ qsuite [ prop_dcs_matches_fresh_stack_model ] );
     ( "perf.alloc",
-      [ Alcotest.test_case "warm call minor words" `Quick test_warm_call_allocation ] );
+      [
+        Alcotest.test_case "warm call minor words" `Quick test_warm_call_allocation;
+        Alcotest.test_case "oltp minor words per engine step" `Quick test_oltp_allocation;
+      ] );
     ( "perf.digest",
       qsuite
         [

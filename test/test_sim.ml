@@ -315,6 +315,154 @@ let test_engine_run_until () =
   Engine.run e;
   Alcotest.(check int) "rest continues" 2 !fired
 
+(* --- engine: host stack under handler-side dispatch --- *)
+
+(* The two drivers every engine workload below must complete under:
+   [run], and [run_until] with a deadline past the end, so the horizon
+   guard is live on every dispatch. *)
+let drivers = [ ("run", Engine.run); ("run_until", fun e -> Engine.run_until e 1e15) ]
+
+(* Run [f] with the fiber stack limit lowered to 1M words (8 MB on
+   64-bit hosts), restoring it afterwards.  Handlers resume the next
+   thread from inside the handler; if that resume were not a tail call,
+   every dispatch would leave a frame behind and these workloads would
+   overflow the stack. *)
+let with_8mb_stack f =
+  let limit = (Gc.get ()).Gc.stack_limit in
+  Gc.set { (Gc.get ()) with Gc.stack_limit = 1024 * 1024 };
+  Fun.protect ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.stack_limit = limit }) f
+
+(* Two threads, started with [spawn], hand the CPU back and forth
+   through same-instant suspend/resume: each wakes its peer, calls
+   [on_round], then parks; [rounds] rounds per thread. *)
+let handoff spawn ~rounds ~on_round =
+  let parked = [| None; None |] in
+  let player me () =
+    for _ = 1 to rounds do
+      (match parked.(1 - me) with
+      | Some w ->
+          parked.(1 - me) <- None;
+          Engine.resume w ()
+      | None -> ());
+      on_round ();
+      Engine.suspend (fun w -> parked.(me) <- Some w)
+    done
+  in
+  spawn (player 0);
+  spawn (player 1)
+
+(* [threads] threads each make [rounds] unit [delay_in] calls; all wake
+   at the same instants, so every delay ties and takes the slow path. *)
+let tied_delays e ~threads ~rounds =
+  for _ = 1 to threads do
+    Engine.spawn e (fun () ->
+        for _ = 1 to rounds do
+          Engine.delay_in e 1.
+        done)
+  done
+
+let test_engine_stack_handoff () =
+  List.iter
+    (fun (name, drive) ->
+      let e = Engine.create () in
+      let count = ref 0 in
+      handoff (Engine.spawn e) ~rounds:500_000 ~on_round:(fun () -> incr count);
+      with_8mb_stack (fun () -> drive e);
+      Alcotest.(check int) (name ^ ": handoffs") 1_000_000 !count;
+      Alcotest.(check int) (name ^ ": steps") 1_000_001 (Engine.steps e))
+    drivers
+
+let test_engine_stack_tied_delays () =
+  List.iter
+    (fun (name, drive) ->
+      let e = Engine.create () in
+      tied_delays e ~threads:4 ~rounds:250_000;
+      with_8mb_stack (fun () -> drive e);
+      check_float (name ^ ": clock") 250_000. (Engine.now e);
+      Alcotest.(check int) (name ^ ": steps") 1_000_004 (Engine.steps e))
+    drivers
+
+(* A chain of raw thunks, each spawning a thread and scheduling the next
+   link.  The threads all start at time 1, so their start thunks sit
+   back to back in the heap: when one thread delays, the next event its
+   handler sees is the next thread's start, a raw thunk, which goes back
+   to the loop.  Raw thunks and handler dispatch alternate at every
+   step. *)
+let test_engine_stack_thunk_chain () =
+  List.iter
+    (fun (name, drive) ->
+      let e = Engine.create () in
+      let n = 100_000 in
+      let finished = ref 0 in
+      let rec link i () =
+        Engine.spawn ~at:1. e (fun () ->
+            Engine.delay_in e 1.;
+            incr finished);
+        if i < n then Engine.schedule e ~at:(Engine.now e) (link (i + 1))
+      in
+      Engine.schedule e ~at:0. (link 1);
+      with_8mb_stack (fun () -> drive e);
+      Alcotest.(check int) (name ^ ": threads finished") n !finished)
+    drivers
+
+(* --- engine: step limit --- *)
+
+(* [Step_limit_exceeded] comes from [run]/[run_until], never from
+   inside a thread: a thread that catches it never sees it.  When it is
+   raised, the event that crossed the limit has been popped and counted,
+   exactly as the loop-only dispatch left the engine: [steps] is
+   [limit + 1], and the pending counts below are that engine's. *)
+let test_engine_step_limit () =
+  let check_limit name ~setup ~limit ~pending =
+    List.iter
+      (fun (dname, drive) ->
+        let e = Engine.create () in
+        let seen_in_thread = ref false in
+        setup e (fun body ->
+            Engine.spawn e (fun () ->
+                try body () with Engine.Step_limit_exceeded -> seen_in_thread := true));
+        Engine.set_step_limit e limit;
+        let label = Printf.sprintf "%s/%s" name dname in
+        Alcotest.check_raises (label ^ ": raised by the driver") Engine.Step_limit_exceeded
+          (fun () -> drive e);
+        Alcotest.(check bool) (label ^ ": never inside a thread") false !seen_in_thread;
+        Alcotest.(check int) (label ^ ": steps") (limit + 1) (Engine.steps e);
+        Alcotest.(check int) (label ^ ": pending") pending (Engine.pending e))
+      drivers
+  in
+  (* Four threads with tied delays: four timers queued at every instant,
+     one popped when the limit trips. *)
+  check_limit "tied delays" ~limit:50 ~pending:3 ~setup:(fun e spawn ->
+      for _ = 1 to 4 do
+        spawn (fun () ->
+            for _ = 1 to 100 do
+              Engine.delay_in e 1.
+            done)
+      done);
+  (* Handoff: the one queued wakeup is the event that trips the limit. *)
+  check_limit "handoff" ~limit:50 ~pending:0 ~setup:(fun _ spawn ->
+      handoff spawn ~rounds:100 ~on_round:ignore)
+
+exception Boom of int list
+
+(* A thread resumed by handler-side dispatch raises: the exception must
+   reach the driver's caller as the same value. *)
+let test_engine_exception_from_inline_resume () =
+  List.iter
+    (fun (name, drive) ->
+      let e = Engine.create () in
+      let payload = [ 1; 2; 3 ] in
+      let rounds = ref 0 in
+      handoff (Engine.spawn e) ~rounds:100 ~on_round:(fun () ->
+          incr rounds;
+          if !rounds = 10 then raise (Boom payload));
+      match drive e with
+      | () -> Alcotest.failf "%s: the thread's exception was lost" name
+      | exception Boom p ->
+          Alcotest.(check bool) (name ^ ": same exception value") true (p == payload);
+          Alcotest.(check int) (name ^ ": raised at round 10") 10 !rounds)
+    drivers
+
 let test_waitq_fifo () =
   let e = Engine.create () in
   let q = Waitq.create () in
@@ -431,6 +579,13 @@ let suites =
         Alcotest.test_case "suspend/resume" `Quick test_engine_suspend_resume;
         Alcotest.test_case "double resume" `Quick test_engine_double_resume_rejected;
         Alcotest.test_case "run_until" `Quick test_engine_run_until;
+        Alcotest.test_case "host stack: suspend/resume handoff" `Quick
+          test_engine_stack_handoff;
+        Alcotest.test_case "host stack: tied delays" `Quick test_engine_stack_tied_delays;
+        Alcotest.test_case "host stack: thunk chain" `Quick test_engine_stack_thunk_chain;
+        Alcotest.test_case "step limit" `Quick test_engine_step_limit;
+        Alcotest.test_case "exception from an inline resume" `Quick
+          test_engine_exception_from_inline_resume;
         Alcotest.test_case "waitq fifo" `Quick test_waitq_fifo;
         Alcotest.test_case "histogram" `Quick test_histogram;
       ]
