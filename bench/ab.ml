@@ -1,18 +1,20 @@
-(* In-process interleaved A/B driver for the predictor stack (PR 10).
+(* In-process interleaved A/B driver for the machine's two dispatchers.
 
    Arm A is the default dispatch (superblocks + return-address stack +
-   indirect inline caches); arm B is --no-ras (superblocks without the
-   dynamic-junction predictors).  Each cell's A and B runs execute back
+   indirect inline caches); arm B is the reference stepper
+   (--no-block-cache), which compiles and applies one instruction per
+   step.  Both run the same instruction semantics, so the A/B measures
+   what the compiled path buys.  Each cell's A and B runs execute back
    to back inside ONE process, each from a compacted heap, so CPU
    frequency drift, container scheduling and allocator state hit both
    arms of the same cell alike — much tighter than interleaving whole
    processes.  A discarded warmup pair first touches every code path.
 
-   Only the machine-interpreter cells are run: they are the only rows
-   whose dispatch path the predictors can change.  Digests must be
-   byte-identical across every run and arm (the predictors choose the
-   dispatch path, never the charge order); the driver fails loudly if
-   any run disagrees.
+   Only the machine-interpreter cells are run: they are the rows whose
+   cost is dominated by instruction dispatch.  Digests must be
+   byte-identical across every run and arm (the dispatcher never
+   changes the charge order); the driver fails loudly if any run
+   disagrees.
 
    Usage: ab.exe --json FILE [--pairs N] [--warmup N] *)
 
@@ -26,13 +28,13 @@ let cells =
     ("machine_callret", Suite.bench_machine_callret);
   ]
 
-type run = { arm : string; ras : bool; results : Suite.bench_result list }
+type run = { arm : string; compiled : bool; results : Suite.bench_result list }
 
-let run_cell ~ras f =
-  Machine.set_default_ras ras;
+let run_cell ~compiled f =
+  Machine.set_default_block_cache compiled;
   Gc.compact ();
   let r = f () in
-  Machine.set_default_ras true;
+  Machine.set_default_block_cache true;
   r
 
 (* One pair = for each cell, its A and B runs back to back — the finest
@@ -40,10 +42,12 @@ let run_cell ~ras f =
    scheduling) lands on both arms of the same cell alike. *)
 let run_pair () =
   let ab =
-    List.map (fun (_, f) -> (run_cell ~ras:true f, run_cell ~ras:false f)) cells
+    List.map
+      (fun (_, f) -> (run_cell ~compiled:true f, run_cell ~compiled:false f))
+      cells
   in
-  ( { arm = "A"; ras = true; results = List.map fst ab },
-    { arm = "B"; ras = false; results = List.map snd ab } )
+  ( { arm = "A"; compiled = true; results = List.map fst ab },
+    { arm = "B"; compiled = false; results = List.map snd ab } )
 
 let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
@@ -104,12 +108,12 @@ let () =
   let arm_runs a = List.filter (fun r -> r.arm = a) runs in
   let buf = Buffer.create 65536 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"dipc-bench/ab-v1\",\n";
+  add "{\n  \"schema\": \"dipc-bench/ab-v2\",\n";
   add
-    "  \"description\": \"Interleaved A/B comparison of the dynamic-junction \
-     predictors: arm A is the default dispatch (superblocks + return-address \
-     stack + indirect inline caches), arm B is --no-ras (superblocks with the \
-     predictors disabled).  Each cell's A and B runs execute back to back \
+    "  \"description\": \"Interleaved A/B comparison of the machine's two \
+     dispatchers: arm A is the default dispatch (superblocks + return-address \
+     stack + indirect inline caches), arm B is the reference stepper \
+     (--no-block-cache).  Each cell's A and B runs execute back to back \
      inside one process, each from a compacted heap, after a discarded \
      warmup pair, so thermal/noise drift hits both arms of the same cell \
      alike.  Digests are byte-identical across every run and arm; only \
@@ -143,7 +147,7 @@ let () =
   let n_runs = List.length runs in
   List.iteri
     (fun ri r ->
-      add "    {\n      \"arm\": \"%s\",\n      \"ras\": %b" r.arm r.ras;
+      add "    {\n      \"arm\": \"%s\",\n      \"compiled\": %b" r.arm r.compiled;
       List.iter
         (fun (name, _) ->
           let c = cell name r in

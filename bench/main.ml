@@ -1,51 +1,51 @@
 (* Benchmark driver: regenerates every table and figure of the paper's
    evaluation (EuroSys'17, Vilanova et al.).  The experiments live in
    [bench/suite.ml] (library [dipc_bench_suite]) so the test suite can
-   link them.
-
-     dune exec bench/main.exe            -- run everything
-     dune exec bench/main.exe -- fig5    -- one experiment
-     experiments: fig1 fig2 table1 fig5 fig6 fig7 fig8 sens-calls sens-caps
-                  stub-coopt templates ablate ablate-gvas bechamel
-
-   Modes:
-     --trace [FILE]     fixed-config traced run, Chrome trace + digest
-     --json  [FILE]     fixed-seed digest suite, machine-readable JSON
-     --matrix           fault-injection matrix over every IPC primitive
-                        and the OLTP/netpipe workloads
-     --security         cost-of-isolation posture matrix: {strict, audit,
-                        permissive} x {CODOMs, CHERI, MMP} x {clean,
-                        under-attack}, both interpreter paths per cell
-     --open [ARRIVAL]   open-arrival load sweep: offered load vs tail
-                        latency (p50/p99/p999) per IPC primitive vs dIPC,
-                        >1M simulated client sessions, saturation knees;
-                        ARRIVAL is poisson (default), bursty or diurnal
-
-   Flags (recognised anywhere on the command line):
-     --check            attach the online invariant checker to traced runs
-     --inject SEED      install a seeded fault injector (same seed =>
-                        byte-identical injected digest)
-     --posture NAME     default enforcement posture (strict | audit |
-                        permissive) for machines created by experiments;
-                        pinned digests assume strict
-     --jobs N           shard independent runs over N domains (0 = one per
-                        recommended core); digests and printed results are
-                        identical at any N
-     --no-block-cache   force the reference interpreter (disable the
-                        machine's translated-block dispatch); results and
-                        digests are identical either way — triage only
-     --no-superblocks   keep the translated-block cache but disable the
-                        superblock trace compiler (one-block-at-a-time
-                        dispatch); results and digests are identical
-                        either way — triage only
-     --no-ras           keep superblocks but disable the dynamic-transfer
-                        predictors (return-address stack + inline caches):
-                        every Ret/Jmpr/Callr side-exits to the dispatcher;
-                        results and digests are identical either way —
-                        triage only *)
+   link them.  [usage] below lists the modes and flags. *)
 
 module Suite = Dipc_bench_suite.Suite
 module Parallel = Dipc_sim.Parallel
+
+let usage =
+  {|usage: main.exe [FLAGS] [MODE | EXPERIMENT...]
+
+  (no arguments)      run every experiment
+  EXPERIMENT...       run the named experiments: fig1 fig2 table1 fig5 fig6
+                      fig7 fig8 sens-calls sens-caps stub-coopt templates
+                      ablate ablate-gvas bechamel
+
+Modes:
+  --trace [FILE]      fixed-config traced run, Chrome trace + digest
+  --json  [FILE]      fixed-seed digest suite, machine-readable JSON
+  --matrix            fault-injection matrix over every IPC primitive and
+                      the OLTP/netpipe workloads
+  --security          cost-of-isolation posture matrix: {strict, audit,
+                      permissive} x {CODOMs, CHERI, MMP} x {clean,
+                      under-attack}, both interpreter paths per cell
+  --open [ARRIVAL]    open-arrival load sweep: offered load vs tail latency
+                      (p50/p99/p999) per IPC primitive vs dIPC, >1M
+                      simulated client sessions, saturation knees; ARRIVAL
+                      is poisson (default), bursty or diurnal
+
+Flags (recognised anywhere on the command line):
+  --check             attach the online invariant checker to traced runs
+  --inject SEED       install a seeded fault injector (same seed =>
+                      byte-identical injected digest)
+  --posture NAME      default enforcement posture (strict | audit |
+                      permissive) for machines created by experiments;
+                      pinned digests assume strict
+  --jobs N            shard independent runs over N domains (0 = one per
+                      recommended core); digests and printed results are
+                      identical at any N
+  --shards N          partition one simulation into N shards (0 = one per
+                      recommended core); digests are identical at any N
+  --no-block-cache    force the reference interpreter instead of the
+                      machine's superblock dispatch; results and digests
+                      are identical either way
+  -h, --help          print this help and exit
+|}
+
+let modes = [ "--trace"; "--json"; "--matrix"; "--security"; "--open" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -55,12 +55,9 @@ let () =
     | "--no-block-cache" :: rest ->
         Dipc_hw.Machine.set_default_block_cache false;
         extract check inject jobs shards acc rest
-    | "--no-superblocks" :: rest ->
-        Dipc_hw.Machine.set_default_superblocks false;
-        extract check inject jobs shards acc rest
-    | "--no-ras" :: rest ->
-        Dipc_hw.Machine.set_default_ras false;
-        extract check inject jobs shards acc rest
+    | ("-h" | "--help") :: _ ->
+        print_string usage;
+        exit 0
     | [ "--posture" ] ->
         Printf.eprintf "--posture needs strict | audit | permissive\n";
         exit 2
@@ -103,6 +100,9 @@ let () =
         | _ ->
             Printf.eprintf "--shards needs a non-negative integer, got %S\n" s;
             exit 2)
+    | x :: _ when String.starts_with ~prefix:"-" x && not (List.mem x modes) ->
+        Printf.eprintf "unknown flag %s\n%s" x usage;
+        exit 2
     | x :: rest -> extract check inject jobs shards (x :: acc) rest
   in
   let check, inject_seed, jobs, shards, args = extract false None 1 1 [] args in

@@ -537,9 +537,9 @@ type bench_result = {
          machine-interpreter experiments; [] for kernel-model cells.
          Pure functions of the simulated execution — identical at any
          --jobs/--shards — but *dispatch-path-dependent* by design
-         (--no-superblocks / --no-block-cache report different counts),
-         so they are emitted as their own JSON column and never enter a
-         digest: the A/B byte-diff jobs compare digests only, while the
+         (--no-block-cache reports different counts), so they are
+         emitted as their own JSON column and never enter a digest: the
+         A/B byte-diff job compares digests only, while the
          counter-equality gate runs on the default path alone. *)
 }
 
@@ -755,7 +755,7 @@ let bench_machine_hotloop () =
    it), and a handler that re-grants an APL edge every 64 calls (the
    generation bump flushes every warm superblock mid-run, forcing
    retranslation).  The digest is dispatch-path-independent — identical
-   under --no-superblocks and --no-block-cache — while the counters
+   under --no-block-cache — while the counters
    column pins the superblock machinery itself: chains formed, warm
    hits, speculation misses, invalidation-forced retranslations. *)
 let superblock_iters = 20_000
@@ -835,10 +835,11 @@ let bench_machine_superblock () =
    indirect jump ([Jmpr]) — nine returns predicted by the RAS, both
    indirect sites by their inline caches, the backward loop branch
    speculated taken, so the steady state runs entirely inside one
-   superblock.  With --no-ras every Ret/Callr/Jmpr is a dispatcher
-   round-trip instead — eleven per ~21 retired instructions — which is
-   exactly the fine-grained cross-domain call shape the paper's IPC
-   claim rests on: this cell carries the PR 10 A/B.  The digest is
+   superblock.  Without the predictors every Ret/Callr/Jmpr would be a
+   dispatcher round-trip — eleven per ~21 retired instructions — and
+   this is exactly the fine-grained cross-domain call shape the paper's
+   IPC claim rests on: this cell carried the predictor A/B
+   (EXPERIMENTS.md).  The digest is
    dispatch-path-independent, as always; the counters pin the predictor
    machinery itself. *)
 let callret_iters = 100_000

@@ -91,53 +91,21 @@ let shards_arg =
 
 let resolve_shards n = if n = 0 then Parallel.default_jobs () else n
 
-(* The interpreter escape hatches travel together: --no-block-cache
-   forces the reference stepper, --no-superblocks keeps the block cache
-   but disables the superblock trace compiler (one-block-at-a-time
-   dispatch), --no-ras keeps superblocks but disables the
-   dynamic-transfer predictors (return-address stack + inline caches).
-   Results and digests are identical in every mode. *)
+(* --no-block-cache forces the reference stepper, the dispatch oracle;
+   results and digests are identical either way. *)
 let no_block_cache_arg =
-  let no_bc =
-    Arg.(
-      value & flag
-      & info [ "no-block-cache" ]
-          ~doc:
-            "force the reference interpreter: disable the machine's \
-             translated-block dispatch.  Results and digests are identical \
-             either way; this is a triage escape hatch")
-  in
-  let no_sb =
-    Arg.(
-      value & flag
-      & info [ "no-superblocks" ]
-          ~doc:
-            "keep the translated-block cache but disable the superblock \
-             trace compiler (one-block-at-a-time dispatch).  Results and \
-             digests are identical either way; this is a triage escape \
-             hatch")
-  in
-  let no_ras =
-    Arg.(
-      value & flag
-      & info [ "no-ras" ]
-          ~doc:
-            "keep the superblock compiler but disable the dynamic-transfer \
-             predictors (return-address stack on Ret, inline caches on \
-             Jmpr/Callr): every dynamic transfer side-exits to the \
-             dispatcher.  Results and digests are identical either way; \
-             this is a triage escape hatch")
-  in
-  Term.(
-    const (fun no_bc no_sb no_ras -> (no_bc, no_sb, no_ras))
-    $ no_bc $ no_sb $ no_ras)
+  Arg.(
+    value & flag
+    & info [ "no-block-cache" ]
+        ~doc:
+          "force the reference interpreter: disable the machine's \
+           superblock dispatch.  Results and digests are identical either \
+           way; this is a triage escape hatch")
 
-(* Machines are created inside the workloads, so the escape hatches flip
-   the process-wide creation defaults before any run starts. *)
-let apply_block_cache (no_bc, no_sb, no_ras) =
-  if no_bc then Dipc_hw.Machine.set_default_block_cache false;
-  if no_sb then Dipc_hw.Machine.set_default_superblocks false;
-  if no_ras then Dipc_hw.Machine.set_default_ras false
+(* Machines are created inside the workloads, so the escape hatch flips
+   the process-wide creation default before any run starts. *)
+let apply_block_cache no_bc =
+  if no_bc then Dipc_hw.Machine.set_default_block_cache false
 
 (* One injector per run from the CLI seed; [None] leaves every hook a
    no-op. *)

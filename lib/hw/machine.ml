@@ -18,43 +18,14 @@ module Trace = Dipc_sim.Trace
 
 let apl_cache_refill_cost = 250.0 (* exception + software cache refill *)
 
-(* A translated basic block: the straight-line instructions starting at
-   [b_pc] (same page, stopping before the first branch/call/ret/syscall/
-   trap/halt, the page boundary, or an unfetchable slot), decoded once
-   with their costs pre-resolved.  [b_len = 0] means the first instruction
-   is itself a terminator (or unfetchable): dispatch falls back to the
-   reference stepper for that one instruction.
-
-   Validity is guarded by generation counters snapshotted at translation
-   time: the code store ([Memory.place_code] would overwrite decoded
-   instructions), the page table (map/unmap could change what the pc
-   region means), the APL and the per-thread APL cache (mutation/flush —
-   conservative: the block body itself consults APL state live, but
-   over-invalidation merely retranslates identical code and is always
-   safe).  Key fields [b_tag]/[b_priv] pin the domain view the block was
-   translated under. *)
-type block = {
-  b_pc : int;
-  b_tag : int;
-  b_priv : bool;
-  b_len : int;
-  b_instrs : Isa.instr array;
-  b_costs : float array;
-  b_code_gen : int;
-  b_pt_gen : int;
-  b_apl_gen : int;
-  b_aplc_gen : int;
-}
-
 (* One unit of a superblock: a straight-line body (compiled to
    direct-threaded closures over the context), an optional *chained*
-   terminator, and one speculated successor.  Only control flow whose
-   target is a translation-time constant is chained: direct [Jmp],
+   terminator, and one speculated successor.  Control flow whose target
+   is a translation-time constant chains statically: direct [Jmp],
    direct [Call], and conditional branches (speculated backward-taken /
-   forward-fall-through, the classic static heuristic).  [Ret], the
-   indirect jumps/calls, [Syscall], [Trap] and [Halt] always end the
-   chain — they either compute their target at run time, run foreign
-   code, or stop the machine.
+   forward-fall-through, the classic static heuristic).  [Syscall],
+   [Trap] and [Halt] always end the chain — they run foreign code or
+   stop the machine.
 
    [u_next] is the speculated successor pc and [u_next_idx] its unit
    index within the same superblock (-1 = planned chain end: the
@@ -65,15 +36,13 @@ type block = {
    transfer check because [Page_table.retag]/[set_protection] mutate
    pages in place without bumping the table generation.
 
-   PR 10 chains the dynamic transfers too.  [u_dyn] classifies the
-   terminator's junction: [Dyn_ret] consults the per-machine
+   The dynamic transfers chain through predictors.  [u_dyn] classifies
+   the terminator's junction: [Dyn_ret] consults the per-machine
    return-address stack, [Dyn_ic] a per-site monomorphic inline cache
    on [Jmpr]/[Callr].  [u_cont_idx] is the unit index of a [Call]/
    [Callr]'s return continuation within the same superblock (-1 if it
    was not materialised under the unit budget): the terminator pushes
-   it onto the RAS so the matching [Ret] can chain straight back.
-   [Syscall], [Trap] and [Halt] still always end the chain — they run
-   foreign code or stop the machine. *)
+   it onto the RAS so the matching [Ret] can chain straight back. *)
 type sunit = {
   u_pc : int;
   u_tag : int;
@@ -111,10 +80,14 @@ and superblock = {
   s_code_gen : int;
   s_pt_gen : int;
   s_apl_gen : int;
-      (* No APL-cache generation guard (unlike [block]): the cache is
-         per-context while superblocks are shared machine-wide, and the
-         guard was purely conservative anyway — bodies and junctions
+      (* No APL-cache generation guard: the cache is per-context while
+         superblocks are shared machine-wide, and bodies and junctions
          consult APL-cache state live. *)
+  s_entry : ctx -> unit;
+      (* The reference step (minus the transfer check) of an entry
+         instruction that cannot chain — Halt, Syscall, Trap or an
+         unfetchable slot — compiled once so a warm dispatch onto it
+         allocates nothing; a no-op when the entry unit chains. *)
 }
 
 and ctx = {
@@ -135,9 +108,6 @@ and ctx = {
   breakdown : Breakdown.t;
   apl_cache : Apl_cache.t;
   mutable halted : bool;
-  blocks : (int, block) Hashtbl.t;
-      (* translated-block cache, keyed by starting pc; per-context so the
-         APL-cache flush guard tracks *this* thread's cache *)
 }
 
 type t = {
@@ -159,21 +129,11 @@ type t = {
       (* Fault injector consulted at domain crossings; [None] keeps the
          crossing path exactly as-is. *)
   mutable block_cache : bool;
-      (* [run] dispatches through translated blocks when true (and the
-         tracer is off and no injector is installed); false forces the
-         reference stepper throughout — the --no-block-cache triage
-         escape hatch. *)
-  mutable superblocks : bool;
-      (* Under [block_cache]: chain blocks across direct jumps/calls
-         into superblocks with speculative continuations (the fastest
-         path, the default); false falls back to the PR 5 one-block-at-
-         a-time dispatch — the --no-superblocks triage escape hatch.
-         Ignored when [block_cache] is false. *)
-  mutable ras : bool;
-      (* Under [superblocks]: predict through the dynamic transfers —
-         return-address stack on Ret, inline caches on Jmpr/Callr
-         (the default); false leaves every dynamic site a counted side
-         exit — the --no-ras triage escape hatch. *)
+      (* [run] dispatches through superblocks when true (and the tracer
+         is off and no injector is installed); false forces the
+         reference stepper throughout — the --no-block-cache escape
+         hatch, and the oracle the dispatch-invariance checks compare
+         against. *)
   sblocks : (int, superblock) Hashtbl.t;
       (* superblock cache, keyed by entry pc; machine-wide (shared by
          every context) so [pretranslate] can warm it before any thread
@@ -196,7 +156,7 @@ type t = {
   mutable ras_len : int;  (* live entries (overflow drops the oldest) *)
   mutable ctr_block_entries : int;
       (* deterministic perf counters: translated-body entries (one per
-         superblock unit entered / per PR 5 block body executed)... *)
+         superblock unit entered)... *)
   mutable ctr_sb_hits : int;  (* ...warm superblock dispatches... *)
   mutable ctr_sb_translations : int;  (* ...superblocks (re)translated... *)
   mutable ctr_side_exits : int;
@@ -237,20 +197,6 @@ let default_block_cache = Atomic.make true
 
 let set_default_block_cache v = Atomic.set default_block_cache v
 
-(* Same contract for the superblock compiler (the --no-superblocks
-   escape hatch): flipped before any machine exists, sampled by
-   [create]. *)
-let default_superblocks = Atomic.make true
-
-let set_default_superblocks v = Atomic.set default_superblocks v
-
-(* And for the dynamic-transfer predictors (the --no-ras escape hatch):
-   RAS + inline caches off leaves every Ret/Jmpr/Callr a counted side
-   exit, isolating prediction bugs from the rest of the compiler. *)
-let default_ras = Atomic.make true
-
-let set_default_ras v = Atomic.set default_ras v
-
 (* Return-address stack capacity; a power of two so push/pop wrap with a
    mask.  64 comfortably covers the deepest call towers in the suite —
    deeper recursion degrades to mispredicted (reference-path) returns,
@@ -268,6 +214,7 @@ let ras_dummy : superblock =
     s_code_gen = -1;
     s_pt_gen = -1;
     s_apl_gen = -1;
+    s_entry = ignore;
   }
 
 (* Never returned: [tlb_pages] entries start at -1, which no address
@@ -298,8 +245,6 @@ let create () =
     tlb_gen = -1;
     inject = None;
     block_cache = Atomic.get default_block_cache;
-    superblocks = Atomic.get default_superblocks;
-    ras = Atomic.get default_ras;
     sblocks = Hashtbl.create 64;
     ras_pc = Array.make ras_capacity 0;
     ras_sb = Array.make ras_capacity ras_dummy;
@@ -319,21 +264,6 @@ let create () =
   }
 
 let set_block_cache m v = m.block_cache <- v
-
-let set_superblocks m v = m.superblocks <- v
-
-let set_ras m v =
-  if m.ras <> v then begin
-    m.ras <- v;
-    (* Translation shapes depend on the flag (continuation units are
-       only materialised with prediction on): drop the cache and let
-       dispatch retranslate under the new setting.  Also forget any
-       live predictions — their superblocks just died. *)
-    Hashtbl.reset m.sblocks;
-    Array.fill m.ras_sb 0 ras_capacity ras_dummy;
-    m.ras_top <- 0;
-    m.ras_len <- 0
-  end
 
 let set_posture m p = m.posture <- p
 
@@ -393,7 +323,6 @@ let new_ctx ?(dcs_capacity = Dcs.default_capacity) m ~pc ~sp_value =
     breakdown = Breakdown.create ();
     apl_cache = Apl_cache.create ();
     halted = false;
-    blocks = Hashtbl.create 64;
   }
 
 let charge m ctx ns =
@@ -643,10 +572,6 @@ let leave_frame ctx ~pc =
 
 (* --- register helpers --- *)
 
-let reg ctx r = ctx.regs.(r)
-
-let set_reg ctx r v = ctx.regs.(r) <- v
-
 let creg ctx ~pc c =
   match ctx.cregs.(c) with
   | Some cap -> cap
@@ -678,20 +603,43 @@ let derive_from_apl m ctx ~pc ~base ~len ~perm =
         { thread = ctx.id; depth = ctx.depth; epoch = ctx.epochs.(ctx.depth) };
   }
 
-(* --- the interpreter --- *)
+(* --- the instruction semantics --- *)
 
 let word = Layout.word_size
 
-(* Execute the body of one already-fetched, already-charged instruction.
-   Shared by the reference stepper and the translated-block path; [pc] is
-   the instruction's own address (= [ctx.pc] on entry) and [next] its
-   fall-through successor. *)
-let exec_instr m ctx instr ~pc ~next =
-    (match instr with
-    | Isa.Nop -> ctx.pc <- next
-    | Isa.Halt -> ctx.halted <- true
-    | Isa.Trap n -> Fault.raise_fault ~pc (Fault.Software_trap n)
-    | Isa.Syscall n -> begin
+(* Call/Callr: push the return address [next] onto the data stack and
+   open a frame. *)
+let push_return m ctx ~next =
+  let new_sp = ctx.regs.(Isa.sp) - word in
+  check_data m ctx ~addr:new_sp ~len:word ~perm:Perm.Write;
+  Memory.store_word m.mem new_sp next;
+  ctx.regs.(Isa.sp) <- new_sp;
+  enter_frame ctx
+
+let trace_dcs m ctx kind =
+  if Trace.enabled m.tracer then
+    Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+      ~arg:(Dcs.depth ctx.dcs) kind
+
+(* The one definition of what every instruction does.  [compile_instr]
+   specializes one already-fetched instruction into a closure over the
+   context: operands, its own address [pc] and its fall-through
+   successor [next] are captured up front, so the hot constructors pay
+   no decode at run time.  The reference stepper compiles and applies
+   one instruction per step; the superblock compiler compiles each
+   instruction once per translation and replays the closure.
+
+   A closure runs after its instruction was fetched and charged.  It
+   keeps [ctx.pc] at the instruction's own address while its checks run
+   (so faults and posture denials carry that pc) and advances it last.
+   Tracer checks read the mutable [m.tracer] at run time. *)
+let compile_instr m instr ~pc ~next : ctx -> unit =
+  match instr with
+  | Isa.Nop -> fun ctx -> ctx.pc <- next
+  | Isa.Halt -> fun ctx -> ctx.halted <- true
+  | Isa.Trap n -> fun _ -> Fault.raise_fault ~pc (Fault.Software_trap n)
+  | Isa.Syscall n -> (
+      fun ctx ->
         if Trace.enabled m.tracer then
           Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag ~arg:n
             Trace.Syscall;
@@ -701,288 +649,43 @@ let exec_instr m ctx instr ~pc ~next =
         | Some handler ->
             handler ctx n;
             ctx.pc <- next
-        | None -> Fault.raise_fault ~pc (Fault.Software_trap (1000 + n))
-      end
-    | Isa.Jmp target -> ctx.pc <- target
-    | Isa.Jmpr r -> ctx.pc <- reg ctx r
-    | Isa.Call target ->
-        let new_sp = reg ctx Isa.sp - word in
-        check_data m ctx ~addr:new_sp ~len:word ~perm:Perm.Write;
-        Memory.store_word m.mem new_sp next;
-        set_reg ctx Isa.sp new_sp;
-        enter_frame ctx;
+        | None -> Fault.raise_fault ~pc (Fault.Software_trap (1000 + n)))
+  | Isa.Jmp t -> fun ctx -> ctx.pc <- t
+  | Isa.Jmpr r -> fun ctx -> ctx.pc <- ctx.regs.(r)
+  | Isa.Call target ->
+      fun ctx ->
+        push_return m ctx ~next;
         ctx.pc <- target
-    | Isa.Callr r ->
-        let target = reg ctx r in
-        let new_sp = reg ctx Isa.sp - word in
-        check_data m ctx ~addr:new_sp ~len:word ~perm:Perm.Write;
-        Memory.store_word m.mem new_sp next;
-        set_reg ctx Isa.sp new_sp;
-        enter_frame ctx;
+  | Isa.Callr r ->
+      fun ctx ->
+        let target = ctx.regs.(r) in
+        push_return m ctx ~next;
         ctx.pc <- target
-    | Isa.Ret ->
-        let sp_value = reg ctx Isa.sp in
+  | Isa.Ret ->
+      fun ctx ->
+        let sp_value = ctx.regs.(Isa.sp) in
         check_data m ctx ~addr:sp_value ~len:word ~perm:Perm.Read;
         let target = Memory.load_word m.mem sp_value in
-        set_reg ctx Isa.sp (sp_value + word);
+        ctx.regs.(Isa.sp) <- sp_value + word;
         (* The return transfer is checked with the *returning* frame's
-           rights: a synchronous capability created in this frame (e.g. the
-           proxy's return capability, Sec. 5.2.3/P3) must still satisfy the
-           check even though the frame dies on return. *)
+           rights: a synchronous capability created in this frame (e.g.
+           the proxy's return capability, Sec. 5.2.3/P3) must still
+           satisfy the check even though the frame dies on return. *)
         check_transfer m ctx target;
         leave_frame ctx ~pc;
         ctx.pc <- target
-    | Isa.Beq (a, b, t) -> ctx.pc <- (if reg ctx a = reg ctx b then t else next)
-    | Isa.Bne (a, b, t) -> ctx.pc <- (if reg ctx a <> reg ctx b then t else next)
-    | Isa.Blt (a, b, t) -> ctx.pc <- (if reg ctx a < reg ctx b then t else next)
-    | Isa.Bge (a, b, t) -> ctx.pc <- (if reg ctx a >= reg ctx b then t else next)
-    | Isa.Beqz (a, t) -> ctx.pc <- (if reg ctx a = 0 then t else next)
-    | Isa.Bnez (a, t) -> ctx.pc <- (if reg ctx a <> 0 then t else next)
-    | Isa.Const (r, v) ->
-        set_reg ctx r v;
-        ctx.pc <- next
-    | Isa.Mov (d, s) ->
-        set_reg ctx d (reg ctx s);
-        ctx.pc <- next
-    | Isa.Add (d, a, b) ->
-        set_reg ctx d (reg ctx a + reg ctx b);
-        ctx.pc <- next
-    | Isa.Addi (d, a, i) ->
-        set_reg ctx d (reg ctx a + i);
-        ctx.pc <- next
-    | Isa.Sub (d, a, b) ->
-        set_reg ctx d (reg ctx a - reg ctx b);
-        ctx.pc <- next
-    | Isa.Mul (d, a, b) ->
-        set_reg ctx d (reg ctx a * reg ctx b);
-        ctx.pc <- next
-    | Isa.Shli (d, a, i) ->
-        set_reg ctx d (reg ctx a lsl i);
-        ctx.pc <- next
-    | Isa.Load (d, b, o) ->
-        let addr = reg ctx b + o in
-        check_data m ctx ~addr ~len:word ~perm:Perm.Read;
-        set_reg ctx d (Memory.load_word m.mem addr);
-        ctx.pc <- next
-    | Isa.Store (b, o, s) ->
-        let addr = reg ctx b + o in
-        check_data m ctx ~addr ~len:word ~perm:Perm.Write;
-        Memory.store_word m.mem addr (reg ctx s);
-        ctx.pc <- next
-    | Isa.RdTp r ->
-        require_priv m ctx;
-        set_reg ctx r ctx.tp;
-        ctx.pc <- next
-    | Isa.RdDepth r ->
-        require_priv m ctx;
-        set_reg ctx r ctx.depth;
-        ctx.pc <- next
-    | Isa.WrFsBase r ->
-        ctx.fsbase <- reg ctx r;
-        ctx.pc <- next
-    | Isa.RdFsBase r ->
-        set_reg ctx r ctx.fsbase;
-        ctx.pc <- next
-    | Isa.GetHwTag (d, s) ->
-        require_priv m ctx;
-        let hw = Apl_cache.lookup ctx.apl_cache (reg ctx s) in
-        if hw >= 0 then set_reg ctx d hw
-        else if m.strict_apl_cache then
-          Fault.raise_fault ~pc (Fault.Apl_cache_miss (reg ctx s))
-        else begin
-          charge_as m ctx Breakdown.Kernel apl_cache_refill_cost;
-          set_reg ctx d (Apl_cache.install ctx.apl_cache (reg ctx s))
-        end;
-        ctx.pc <- next
-    | Isa.CapAplDerive (c, rb, rl, perm) ->
-        let cap =
-          derive_from_apl m ctx ~pc ~base:(reg ctx rb) ~len:(reg ctx rl) ~perm
-        in
-        ctx.cregs.(c) <- Some cap;
-        ctx.pc <- next
-    | Isa.CapRestrict (cd, cs, rb, rl, perm) -> begin
-        let src = valid_creg m ctx ~pc cs in
-        match
-          Capability.restrict src ~base:(reg ctx rb) ~length:(reg ctx rl) ~perm
-        with
-        | Ok cap ->
-            ctx.cregs.(cd) <- Some cap;
-            ctx.pc <- next
-        | Error _ -> Fault.raise_fault ~pc Fault.Cap_invalid
-      end
-    | Isa.CapAsync (cd, cs, rctr) ->
-        let src = valid_creg m ctx ~pc cs in
-        let counter = reg ctx rctr in
-        let value =
-          Capability.Revocation.value m.revocation ~tag:ctx.cur_tag ~counter
-        in
-        ctx.cregs.(cd) <-
-          Some
-            {
-              src with
-              scope = Capability.Asynchronous { owner_tag = ctx.cur_tag; counter; value };
-            };
-        ctx.pc <- next
-    | Isa.CapRevoke rctr ->
-        let counter = reg ctx rctr in
-        Capability.Revocation.revoke m.revocation ~tag:ctx.cur_tag ~counter;
-        if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost
-            ~cpu:(Capability.Revocation.value m.revocation ~tag:ctx.cur_tag ~counter)
-            ~tid:ctx.id ~tag:ctx.cur_tag ~arg:counter Trace.Cap_revoke;
-        ctx.pc <- next
-    | Isa.CapClear c ->
-        ctx.cregs.(c) <- None;
-        ctx.pc <- next
-    | Isa.CapPush c ->
-        Dcs.push ctx.dcs ~pc (valid_creg m ctx ~pc c);
-        if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
-            ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_push;
-        ctx.pc <- next
-    | Isa.CapPop c ->
-        ctx.cregs.(c) <- Some (Dcs.pop ctx.dcs ~pc);
-        if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
-            ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_pop;
-        ctx.pc <- next
-    | Isa.CapLoad (c, rb, o) -> begin
-        let addr = reg ctx rb + o in
-        check_cap_page m ctx ~addr ~perm:Perm.Read;
-        match Memory.load_cap m.mem addr with
-        | Some _ as cell ->
-            ctx.cregs.(c) <- cell;
-            ctx.pc <- next
-        | None -> Fault.raise_fault ~pc ~addr Fault.Cap_invalid
-      end
-    | Isa.CapStore (rb, o, c) ->
-        let addr = reg ctx rb + o in
-        check_cap_page m ctx ~addr ~perm:Perm.Write;
-        Memory.store_cap m.mem addr (valid_creg m ctx ~pc c);
-        ctx.pc <- next
-    | Isa.DcsGetTop r ->
-        set_reg ctx r (Dcs.depth ctx.dcs);
-        ctx.pc <- next
-    | Isa.DcsGetBase r ->
-        require_priv m ctx;
-        set_reg ctx r (Dcs.base ctx.dcs);
-        ctx.pc <- next
-    | Isa.DcsSetBase r ->
-        require_priv m ctx;
-        Dcs.set_base ctx.dcs ~pc (reg ctx r);
-        ctx.pc <- next
-    | Isa.DcsSwitch r ->
-        require_priv m ctx;
-        Dcs.switch ctx.dcs ~pc ~args:(reg ctx r);
-        if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
-            ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_adjust;
-        ctx.pc <- next
-    | Isa.DcsRestore r ->
-        require_priv m ctx;
-        Dcs.restore ctx.dcs ~pc ~rets:(reg ctx r);
-        if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
-            ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_adjust;
-        ctx.pc <- next)
-
-let step_unlogged m ctx =
-  if ctx.halted then `Halted
-  else begin
-    let pc = ctx.pc in
-    if Layout.page_of pc <> ctx.cur_page then check_transfer m ctx pc;
-    let instr =
-      match Memory.fetch m.mem pc with
-      | Some i -> i
-      | None -> Fault.raise_fault ~pc Fault.Bad_instruction
-    in
-    ctx.instret <- ctx.instret + 1;
-    charge m ctx (Isa.cost instr);
-    exec_instr m ctx instr ~pc ~next:(pc + Isa.instr_bytes);
-    if ctx.halted then `Halted else `Running
-  end
-
-let step m ctx =
-  try step_unlogged m ctx
-  with Fault.Fault f as exn ->
-    if Trace.enabled m.tracer then
-      Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
-        ~arg:f.Fault.pc Trace.Fault;
-    raise exn
-
-(* --- translated-block dispatch --- *)
-
-(* A terminator ends a basic block: anything that can leave the
-   straight-line pc+4 successor chain (or stop execution).  Terminators
-   always execute through the reference stepper. *)
-let is_terminator = function
-  | Isa.Halt | Isa.Trap _ | Isa.Syscall _ | Isa.Jmp _ | Isa.Jmpr _
-  | Isa.Call _ | Isa.Callr _ | Isa.Ret | Isa.Beq _ | Isa.Bne _ | Isa.Blt _
-  | Isa.Bge _ | Isa.Beqz _ | Isa.Bnez _ ->
-      true
-  | _ -> false
-
-(* Decode the maximal straight-line run starting at [pc]: same page,
-   every slot fetchable, no terminators.  Pure reads — [Memory.fetch] is
-   exactly what the reference stepper performs per instruction, so a
-   translated body replays the same decode results. *)
-let translate m ctx pc =
-  let page0 = Layout.page_of pc in
-  let rev = ref [] in
-  let n = ref 0 in
-  let p = ref pc in
-  let stop = ref false in
-  while not !stop do
-    if Layout.page_of !p <> page0 then stop := true
-    else
-      match Memory.fetch m.mem !p with
-      | Some i when not (is_terminator i) ->
-          rev := i :: !rev;
-          incr n;
-          p := !p + Isa.instr_bytes
-      | Some _ | None -> stop := true
-  done;
-  let instrs = Array.of_list (List.rev !rev) in
-  {
-    b_pc = pc;
-    b_tag = ctx.cur_tag;
-    b_priv = ctx.priv;
-    b_len = !n;
-    b_instrs = instrs;
-    b_costs = Array.map Isa.cost instrs;
-    b_code_gen = Memory.code_generation m.mem;
-    b_pt_gen = Page_table.generation m.page_table;
-    b_apl_gen = Apl.generation m.apl;
-    b_aplc_gen = Apl_cache.generation ctx.apl_cache;
-  }
-
-let find_block m ctx pc =
-  match Hashtbl.find_opt ctx.blocks pc with
-  | Some b
-    when b.b_pc = pc && b.b_tag = ctx.cur_tag && b.b_priv = ctx.priv
-         && b.b_code_gen = Memory.code_generation m.mem
-         && b.b_pt_gen = Page_table.generation m.page_table
-         && b.b_apl_gen = Apl.generation m.apl
-         && b.b_aplc_gen = Apl_cache.generation ctx.apl_cache ->
-      b
-  | _ ->
-      let b = translate m ctx pc in
-      Hashtbl.replace ctx.blocks pc b;
-      b
-
-(* --- superblock dispatch (direct-threaded trace compiler) --- *)
-
-(* Compile one body instruction to a pre-specialized closure: operands,
-   own pc and fall-through successor are captured at translation time,
-   so the hot constructors pay no dispatch at all.  Each closure is an
-   exact transcription of the matching [exec_instr] arm — same check
-   order, same [ctx.pc] discipline (still the instruction's own address
-   while its checks run, advanced to [next] last), so faults carry the
-   same pc and denials replay identically.  Rare constructors fall back
-   to [exec_instr]. *)
-let compile_instr m instr ~pc ~next =
-  match instr with
-  | Isa.Nop -> fun ctx -> ctx.pc <- next
+  | Isa.Beq (a, b, t) ->
+      fun ctx -> ctx.pc <- (if ctx.regs.(a) = ctx.regs.(b) then t else next)
+  | Isa.Bne (a, b, t) ->
+      fun ctx -> ctx.pc <- (if ctx.regs.(a) <> ctx.regs.(b) then t else next)
+  | Isa.Blt (a, b, t) ->
+      fun ctx -> ctx.pc <- (if ctx.regs.(a) < ctx.regs.(b) then t else next)
+  | Isa.Bge (a, b, t) ->
+      fun ctx -> ctx.pc <- (if ctx.regs.(a) >= ctx.regs.(b) then t else next)
+  | Isa.Beqz (a, t) ->
+      fun ctx -> ctx.pc <- (if ctx.regs.(a) = 0 then t else next)
+  | Isa.Bnez (a, t) ->
+      fun ctx -> ctx.pc <- (if ctx.regs.(a) <> 0 then t else next)
   | Isa.Const (r, v) ->
       fun ctx ->
         ctx.regs.(r) <- v;
@@ -1023,6 +726,16 @@ let compile_instr m instr ~pc ~next =
         check_data m ctx ~addr ~len:word ~perm:Perm.Write;
         Memory.store_word m.mem addr ctx.regs.(s);
         ctx.pc <- next
+  | Isa.RdTp r ->
+      fun ctx ->
+        require_priv m ctx;
+        ctx.regs.(r) <- ctx.tp;
+        ctx.pc <- next
+  | Isa.RdDepth r ->
+      fun ctx ->
+        require_priv m ctx;
+        ctx.regs.(r) <- ctx.depth;
+        ctx.pc <- next
   | Isa.WrFsBase r ->
       fun ctx ->
         ctx.fsbase <- ctx.regs.(r);
@@ -1031,30 +744,158 @@ let compile_instr m instr ~pc ~next =
       fun ctx ->
         ctx.regs.(r) <- ctx.fsbase;
         ctx.pc <- next
-  | _ -> fun ctx -> exec_instr m ctx instr ~pc ~next
+  | Isa.GetHwTag (d, s) ->
+      fun ctx ->
+        require_priv m ctx;
+        let tag = ctx.regs.(s) in
+        let hw = Apl_cache.lookup ctx.apl_cache tag in
+        if hw >= 0 then ctx.regs.(d) <- hw
+        else if m.strict_apl_cache then
+          Fault.raise_fault ~pc (Fault.Apl_cache_miss tag)
+        else begin
+          charge_as m ctx Breakdown.Kernel apl_cache_refill_cost;
+          ctx.regs.(d) <- Apl_cache.install ctx.apl_cache tag
+        end;
+        ctx.pc <- next
+  | Isa.CapAplDerive (c, rb, rl, perm) ->
+      fun ctx ->
+        let cap =
+          derive_from_apl m ctx ~pc ~base:ctx.regs.(rb) ~len:ctx.regs.(rl) ~perm
+        in
+        ctx.cregs.(c) <- Some cap;
+        ctx.pc <- next
+  | Isa.CapRestrict (cd, cs, rb, rl, perm) -> (
+      fun ctx ->
+        let src = valid_creg m ctx ~pc cs in
+        match
+          Capability.restrict src ~base:ctx.regs.(rb) ~length:ctx.regs.(rl)
+            ~perm
+        with
+        | Ok cap ->
+            ctx.cregs.(cd) <- Some cap;
+            ctx.pc <- next
+        | Error _ -> Fault.raise_fault ~pc Fault.Cap_invalid)
+  | Isa.CapAsync (cd, cs, rctr) ->
+      fun ctx ->
+        let src = valid_creg m ctx ~pc cs in
+        let counter = ctx.regs.(rctr) in
+        let value =
+          Capability.Revocation.value m.revocation ~tag:ctx.cur_tag ~counter
+        in
+        ctx.cregs.(cd) <-
+          Some
+            {
+              src with
+              scope =
+                Capability.Asynchronous
+                  { owner_tag = ctx.cur_tag; counter; value };
+            };
+        ctx.pc <- next
+  | Isa.CapRevoke rctr ->
+      fun ctx ->
+        let counter = ctx.regs.(rctr) in
+        Capability.Revocation.revoke m.revocation ~tag:ctx.cur_tag ~counter;
+        if Trace.enabled m.tracer then
+          Trace.emit m.tracer ~ts:ctx.cost
+            ~cpu:
+              (Capability.Revocation.value m.revocation ~tag:ctx.cur_tag
+                 ~counter)
+            ~tid:ctx.id ~tag:ctx.cur_tag ~arg:counter Trace.Cap_revoke;
+        ctx.pc <- next
+  | Isa.CapClear c ->
+      fun ctx ->
+        ctx.cregs.(c) <- None;
+        ctx.pc <- next
+  | Isa.CapPush c ->
+      fun ctx ->
+        Dcs.push ctx.dcs ~pc (valid_creg m ctx ~pc c);
+        trace_dcs m ctx Trace.Dcs_push;
+        ctx.pc <- next
+  | Isa.CapPop c ->
+      fun ctx ->
+        ctx.cregs.(c) <- Some (Dcs.pop ctx.dcs ~pc);
+        trace_dcs m ctx Trace.Dcs_pop;
+        ctx.pc <- next
+  | Isa.CapLoad (c, rb, o) -> (
+      fun ctx ->
+        let addr = ctx.regs.(rb) + o in
+        check_cap_page m ctx ~addr ~perm:Perm.Read;
+        match Memory.load_cap m.mem addr with
+        | Some _ as cell ->
+            ctx.cregs.(c) <- cell;
+            ctx.pc <- next
+        | None -> Fault.raise_fault ~pc ~addr Fault.Cap_invalid)
+  | Isa.CapStore (rb, o, c) ->
+      fun ctx ->
+        let addr = ctx.regs.(rb) + o in
+        check_cap_page m ctx ~addr ~perm:Perm.Write;
+        Memory.store_cap m.mem addr (valid_creg m ctx ~pc c);
+        ctx.pc <- next
+  | Isa.DcsGetTop r ->
+      fun ctx ->
+        ctx.regs.(r) <- Dcs.depth ctx.dcs;
+        ctx.pc <- next
+  | Isa.DcsGetBase r ->
+      fun ctx ->
+        require_priv m ctx;
+        ctx.regs.(r) <- Dcs.base ctx.dcs;
+        ctx.pc <- next
+  | Isa.DcsSetBase r ->
+      fun ctx ->
+        require_priv m ctx;
+        Dcs.set_base ctx.dcs ~pc ctx.regs.(r);
+        ctx.pc <- next
+  | Isa.DcsSwitch r ->
+      fun ctx ->
+        require_priv m ctx;
+        Dcs.switch ctx.dcs ~pc ~args:ctx.regs.(r);
+        trace_dcs m ctx Trace.Dcs_adjust;
+        ctx.pc <- next
+  | Isa.DcsRestore r ->
+      fun ctx ->
+        require_priv m ctx;
+        Dcs.restore ctx.dcs ~pc ~rets:ctx.regs.(r);
+        trace_dcs m ctx Trace.Dcs_adjust;
+        ctx.pc <- next
 
-(* Chained terminators get the same treatment: branches and direct
-   jumps compile to a pc assignment (the junction then compares the
-   actual pc against the speculation); [Call] and anything else fall
-   back to [exec_instr]. *)
-let compile_term m instr ~pc ~next =
-  match instr with
-  | Isa.Jmp t -> fun ctx -> ctx.pc <- t
-  | Isa.Beq (a, b, t) ->
-      fun ctx -> ctx.pc <- (if ctx.regs.(a) = ctx.regs.(b) then t else next)
-  | Isa.Bne (a, b, t) ->
-      fun ctx -> ctx.pc <- (if ctx.regs.(a) <> ctx.regs.(b) then t else next)
-  | Isa.Blt (a, b, t) ->
-      fun ctx -> ctx.pc <- (if ctx.regs.(a) < ctx.regs.(b) then t else next)
-  | Isa.Bge (a, b, t) ->
-      fun ctx -> ctx.pc <- (if ctx.regs.(a) >= ctx.regs.(b) then t else next)
-  | Isa.Beqz (a, t) ->
-      fun ctx -> ctx.pc <- (if ctx.regs.(a) = 0 then t else next)
-  | Isa.Bnez (a, t) ->
-      fun ctx -> ctx.pc <- (if ctx.regs.(a) <> 0 then t else next)
-  | _ -> fun ctx -> exec_instr m ctx instr ~pc ~next
+(* --- the reference stepper --- *)
 
-let term_nop (_ : ctx) = ()
+(* The dispatch oracle: fetch, transfer check, charge, then compile and
+   apply the instruction — no caching, chaining or prediction. *)
+let step_unlogged m ctx =
+  if ctx.halted then `Halted
+  else begin
+    let pc = ctx.pc in
+    if Layout.page_of pc <> ctx.cur_page then check_transfer m ctx pc;
+    let instr =
+      match Memory.fetch m.mem pc with
+      | Some i -> i
+      | None -> Fault.raise_fault ~pc Fault.Bad_instruction
+    in
+    ctx.instret <- ctx.instret + 1;
+    charge m ctx (Isa.cost instr);
+    compile_instr m instr ~pc ~next:(pc + Isa.instr_bytes) ctx;
+    if ctx.halted then `Halted else `Running
+  end
+
+let step m ctx =
+  try step_unlogged m ctx
+  with Fault.Fault f as exn ->
+    if Trace.enabled m.tracer then
+      Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+        ~arg:f.Fault.pc Trace.Fault;
+    raise exn
+
+(* --- superblock dispatch (direct-threaded trace compiler) --- *)
+
+(* A terminator ends a unit's straight-line body: anything that can
+   leave the pc+4 successor chain (or stop execution). *)
+let is_terminator = function
+  | Isa.Halt | Isa.Trap _ | Isa.Syscall _ | Isa.Jmp _ | Isa.Jmpr _
+  | Isa.Call _ | Isa.Callr _ | Isa.Ret | Isa.Beq _ | Isa.Bne _ | Isa.Blt _
+  | Isa.Bge _ | Isa.Beqz _ | Isa.Bnez _ ->
+      true
+  | _ -> false
 
 (* The speculated successor of a chainable terminator at [pc], or None
    for the unchainable ones (indirect targets, Syscall/Trap/Halt/Ret).
@@ -1074,6 +915,22 @@ let chain_target ~pc = function
 
 let max_superblock_units = 32
 
+(* The reference step ([step_unlogged]) of the instruction at [pc],
+   minus the transfer check, as one closure: a superblock keeps it for
+   an entry instruction that cannot chain.  The fetch happens when the
+   closure is built, but an unfetchable slot faults only when the
+   closure runs, after the dispatcher's transfer check. *)
+let compile_step m ~pc : ctx -> unit =
+  match Memory.fetch m.mem pc with
+  | None -> fun _ -> Fault.raise_fault ~pc Fault.Bad_instruction
+  | Some instr ->
+      let code = compile_instr m instr ~pc ~next:(pc + Isa.instr_bytes) in
+      let cost = Isa.cost instr in
+      fun ctx ->
+        ctx.instret <- ctx.instret + 1;
+        charge m ctx cost;
+        code ctx
+
 (* Translate the superblock entered at [pc] under domain view
    [tag]/[priv]: follow the speculated chain — body, chained
    terminator, successor — until it reaches an unchainable terminator,
@@ -1085,16 +942,14 @@ let max_superblock_units = 32
    and re-checked at the junction at run time (pages mutate in place).
 
    Dynamic transfers (Ret, Jmpr, Callr) are chained as terminators with
-   a [Dyn_ret]/[Dyn_ic] junction; with prediction on, every Call/Callr
-   additionally enqueues its return continuation as a secondary chain
-   seed so the matching Ret has a unit to land on.  Seeds are processed
-   FIFO after the primary chain ends, under the same unit budget — the
-   primary chain is therefore built exactly as before, and a
-   continuation that does not fit simply leaves [u_cont_idx] at -1 (the
-   Ret then mispredicts to the dispatcher, never executes wrong
-   code). *)
+   a [Dyn_ret]/[Dyn_ic] junction, and every Call/Callr additionally
+   enqueues its return continuation as a secondary chain seed so the
+   matching Ret has a unit to land on.  Seeds are processed FIFO after
+   the primary chain ends, under the same unit budget — the primary
+   chain does not depend on them, and a continuation that does not fit
+   simply leaves [u_cont_idx] at -1 (the Ret then mispredicts to the
+   dispatcher, never executes wrong code). *)
 let translate_superblock m ~pc ~tag ~priv =
-  let predict = m.ras in
   let units = ref [] in
   let count = ref 0 in
   let index = Hashtbl.create 8 in
@@ -1113,7 +968,8 @@ let translate_superblock m ~pc ~tag ~priv =
       match !cur with Some c -> c | None -> assert false
     in
     Hashtbl.replace index upc !count;
-    (* straight-line body: same decode rule as [translate] *)
+    (* straight-line body: same page, every slot fetchable, no
+       terminators *)
     let page0 = Layout.page_of upc in
     let rev = ref [] in
     let n = ref 0 in
@@ -1154,19 +1010,18 @@ let translate_superblock m ~pc ~tag ~priv =
        back in — the RAS junction re-validates the landing unit's
        (tag, priv) against the live state before chaining, so even a
        retagged continuation can never run stale. *)
-    (if predict then
-       match term with
-       | Some (Isa.Call _ | Isa.Callr _) -> (
-           let cpc = term_pc + Isa.instr_bytes in
-           if Layout.page_of cpc = page0 then Queue.add (cpc, utag, upriv) conts
-           else
-             match Page_table.find m.page_table cpc with
-             | Some page when page.Page_table.executable ->
-                 Queue.add
-                   (cpc, page.Page_table.tag, page.Page_table.priv_cap)
-                   conts
-             | Some _ | None -> ())
-       | _ -> ());
+    (match term with
+    | Some (Isa.Call _ | Isa.Callr _) -> (
+        let cpc = term_pc + Isa.instr_bytes in
+        if Layout.page_of cpc = page0 then Queue.add (cpc, utag, upriv) conts
+        else
+          match Page_table.find m.page_table cpc with
+          | Some page when page.Page_table.executable ->
+              Queue.add
+                (cpc, page.Page_table.tag, page.Page_table.priv_cap)
+                conts
+          | Some _ | None -> ())
+    | _ -> ());
     let u_next, u_next_idx, continue_at =
       match succ with
       | None -> (-1, -1, None)
@@ -1202,8 +1057,8 @@ let translate_superblock m ~pc ~tag ~priv =
         u_term_code =
           (match term with
           | Some i ->
-              compile_term m i ~pc:term_pc ~next:(term_pc + Isa.instr_bytes)
-          | None -> term_nop);
+              compile_instr m i ~pc:term_pc ~next:(term_pc + Isa.instr_bytes)
+          | None -> ignore);
         u_term_pc = term_pc;
         u_term_cost = (match term with Some i -> Isa.cost i | None -> 0.);
         u_next;
@@ -1220,16 +1075,16 @@ let translate_superblock m ~pc ~tag ~priv =
   (* Resolve call continuations now that every unit exists: a seed may
      have closed onto a unit the primary chain already built, or been
      dropped by the budget (u_cont_idx stays -1). *)
-  if predict then
-    Array.iter
-      (fun u ->
-        match u.u_term with
-        | Some (Isa.Call _ | Isa.Callr _) -> (
-            match Hashtbl.find_opt index (u.u_term_pc + Isa.instr_bytes) with
-            | Some i -> u.u_cont_idx <- i
-            | None -> ())
-        | _ -> ())
-      s_units;
+  Array.iter
+    (fun u ->
+      match u.u_term with
+      | Some (Isa.Call _ | Isa.Callr _) -> (
+          match Hashtbl.find_opt index (u.u_term_pc + Isa.instr_bytes) with
+          | Some i -> u.u_cont_idx <- i
+          | None -> ())
+      | _ -> ())
+    s_units;
+  let u0 = s_units.(0) in
   {
     s_pc = pc;
     s_tag = tag;
@@ -1238,6 +1093,8 @@ let translate_superblock m ~pc ~tag ~priv =
     s_code_gen = Memory.code_generation m.mem;
     s_pt_gen = Page_table.generation m.page_table;
     s_apl_gen = Apl.generation m.apl;
+    s_entry =
+      (if u0.u_len = 0 && u0.u_term = None then compile_step m ~pc else ignore);
   }
 
 (* Generation validity shared by the dispatcher probe, the RAS pop and
@@ -1279,9 +1136,8 @@ let ras_push m ~cont_pc ~sb ~uidx =
    Charge order replays the reference interpreter exactly: per
    instruction one [instret] bump, one [cost +. c] and one Breakdown
    cell add — same floats, same sequence — then the effect closure.
-   The attribution category is re-resolved per unit entry (attr_of_tag
-   is mutable machine state), exactly as the PR 5 block path hoists it
-   per block execution.
+   The attribution category is resolved at entry and re-resolved only
+   after a domain crossing (attr_of_tag is mutable machine state).
 
    The junction protocol after a unit's terminator (or fall-through):
    stop on a planned end; stop (side exit) when the actual [ctx.pc]
@@ -1416,7 +1272,7 @@ let exec_superblock m ctx sb0 fuel =
             else if !remaining <= 0 then continue_ := false
             else begin
               let hit = ref false in
-              if m.ras && m.ras_len > 0 then begin
+              if m.ras_len > 0 then begin
                 (* the Ret consumes its entry whether or not it
                    predicts — ordinary stack discipline *)
                 m.ras_len <- m.ras_len - 1;
@@ -1463,7 +1319,7 @@ let exec_superblock m ctx sb0 fuel =
             else if !remaining <= 0 then continue_ := false
             else begin
               let target = ctx.pc in
-              if m.ras && cell.ic_pc = target then begin
+              if cell.ic_pc = target then begin
                 (* monomorphic re-match: the reference transfer check
                    runs here, in the exact position the dispatcher
                    would run it (page change only) *)
@@ -1511,10 +1367,8 @@ let exec_superblock m ctx sb0 fuel =
               end
               else begin
                 (* polymorphic (or cold) site: rebias and dispatch *)
-                if m.ras then begin
-                  cell.ic_pc <- target;
-                  cell.ic_sb <- None
-                end;
+                cell.ic_pc <- target;
+                cell.ic_sb <- None;
                 m.ctr_ic_misses <- m.ctr_ic_misses + 1;
                 m.ctr_side_exits <- m.ctr_side_exits + 1;
                 continue_ := false
@@ -1527,13 +1381,14 @@ let exec_superblock m ctx sb0 fuel =
 
 (* Warm the superblock cache for an entry point before any thread runs
    it — called at proxy/template generation time so the first dIPC
-   crossing dispatches into already-compiled code.  A no-op unless both
-   fast paths are enabled, or when [pc] is unmapped/non-executable.
+   crossing dispatches into already-compiled code.  A no-op on the
+   reference stepper ([block_cache] off), or when [pc] is
+   unmapped/non-executable.
    The warm entry stays valid only until the next code placement or
    table change bumps a generation (callers should pretranslate after
    their last [place_code]); a stale entry merely retranslates. *)
 let pretranslate m ~pc =
-  if m.block_cache && m.superblocks then
+  if m.block_cache then
     match Page_table.find m.page_table pc with
     | Some page when page.Page_table.executable ->
         let sb =
@@ -1547,7 +1402,8 @@ let pretranslate m ~pc =
 (* The fast path is only observably identical to the reference stepper
    when nothing watches individual steps: tracing emits per-instruction
    Charge events (timestamps interleave with crossing events) and an
-   injector perturbs crossings, so either disables block dispatch. *)
+   injector perturbs crossings, so either disables superblock
+   dispatch. *)
 let block_path_ok m =
   m.block_cache
   && (not (Trace.enabled m.tracer))
@@ -1563,67 +1419,22 @@ let run ?(fuel = 10_000_000) m ctx =
         decr remaining;
         running := false
       end
-      else if m.superblocks then begin
+      else begin
         let pc = ctx.pc in
         if Layout.page_of pc <> ctx.cur_page then check_transfer m ctx pc;
         let sb = find_superblock m ctx pc in
         let u0 = Array.unsafe_get sb.s_units 0 in
         if u0.u_len = 0 && u0.u_term = None then begin
           (* Unchainable terminator (Syscall/Trap/Halt) or unfetchable
-             slot at the entry: one reference step (the transfer check
-             above already ran, [step_unlogged] will not repeat it).
-             Ret/Jmpr/Callr entries are chained terminators and run
-             through [exec_superblock] like any other unit. *)
+             slot at the entry: one reference step, precompiled (the
+             transfer check above already ran).  Ret/Jmpr/Callr entries
+             are chained terminators and run through [exec_superblock]
+             like any other unit. *)
           decr remaining;
-          match step_unlogged m ctx with
-          | `Halted -> running := false
-          | `Running -> ()
+          sb.s_entry ctx;
+          if ctx.halted then running := false
         end
         else remaining := exec_superblock m ctx sb !remaining
-      end
-      else begin
-        (* PR 5 one-block-at-a-time dispatch, kept verbatim: the
-           --no-superblocks triage path. *)
-        let pc = ctx.pc in
-        if Layout.page_of pc <> ctx.cur_page then check_transfer m ctx pc;
-        let b = find_block m ctx pc in
-        if b.b_len = 0 then begin
-          (* Terminator or unfetchable slot: one reference step.  The
-             page/transfer check above already ran, so [step_unlogged]
-             will not repeat it. *)
-          decr remaining;
-          match step_unlogged m ctx with
-          | `Halted -> running := false
-          | `Running -> ()
-        end
-        else begin
-          (* Execute the block body (truncated to the remaining fuel so
-             an Out_of_fuel raise lands on the same instruction boundary
-             as the reference loop).  Body instructions never change
-             [cur_tag]/[cur_page]/[priv]/[halted] — terminators are
-             excluded — so the per-instruction transfer check and the
-             attribution category are loop invariants.  Charges replay
-             the reference order exactly: one [cost +. c] and one
-             Breakdown cell add per instruction, same floats, same
-             sequence (float summation order is observable in Breakdown
-             totals). *)
-          m.ctr_block_entries <- m.ctr_block_entries + 1;
-          let k = if b.b_len < !remaining then b.b_len else !remaining in
-          remaining := !remaining - k;
-          let cat_i = Breakdown.category_index (m.attr_of_tag ctx.cur_tag) in
-          let instrs = b.b_instrs and costs = b.b_costs in
-          let cells = Breakdown.cells ctx.breakdown in
-          for i = 0 to k - 1 do
-            let pc = ctx.pc in
-            ctx.instret <- ctx.instret + 1;
-            let c = Array.unsafe_get costs i in
-            ctx.cost <- ctx.cost +. c;
-            Array.unsafe_set cells cat_i (Array.unsafe_get cells cat_i +. c);
-            exec_instr m ctx
-              (Array.unsafe_get instrs i)
-              ~pc ~next:(pc + Isa.instr_bytes)
-          done
-        end
       end
     else begin
       decr remaining;

@@ -11,14 +11,12 @@ module Breakdown = Dipc_sim.Breakdown
 (** Cost of the software APL-cache refill after a miss (auto-fill mode). *)
 val apl_cache_refill_cost : float
 
-(** A translated basic block (straight-line instructions decoded once,
-    guarded by code/page-table/APL generation counters). *)
-type block
-
-(** A superblock: basic blocks chained across direct jumps/calls and
-    speculated conditional-branch arms, compiled to direct-threaded
-    closures, with side exits back to the dispatcher when a speculation
-    or a tag/priv junction guard fails mid-chain. *)
+(** A superblock: straight-line units chained across direct jumps/calls
+    and speculated conditional-branch arms (and across [Ret]/[Jmpr]/
+    [Callr] through the return-address stack and inline caches),
+    compiled to direct-threaded closures, with side exits back to the
+    dispatcher when a speculation, prediction or tag/priv junction guard
+    fails mid-chain. *)
 type superblock
 
 (** One hardware thread's execution context. *)
@@ -40,8 +38,6 @@ type ctx = {
   breakdown : Breakdown.t;
   apl_cache : Apl_cache.t;
   mutable halted : bool;
-  blocks : (int, block) Hashtbl.t;
-      (** translated-block cache, keyed by starting pc *)
 }
 
 type t = {
@@ -63,19 +59,9 @@ type t = {
   mutable inject : Dipc_sim.Inject.t option;
       (** fault injector consulted at domain crossings; [None] = clean *)
   mutable block_cache : bool;
-      (** [run] uses translated-block dispatch when true (default); the
-          tracer being enabled or an injector being installed overrides
-          this per run.  See {!set_block_cache}. *)
-  mutable superblocks : bool;
-      (** under [block_cache]: superblock (trace-compiled) dispatch when
-          true (default), the PR 5 one-block-at-a-time path when false;
-          see {!set_superblocks} *)
-  mutable ras : bool;
-      (** under [superblocks]: predict through dynamic transfers — a
-          return-address stack on [Ret], monomorphic inline caches on
-          [Jmpr]/[Callr] — when true (default); false leaves every
-          dynamic site a counted side exit (the [--no-ras] triage
-          path); see {!set_ras} *)
+      (** [run] uses superblock dispatch when true (default); the tracer
+          being enabled or an injector being installed overrides this
+          per run.  See {!set_block_cache}. *)
   sblocks : (int, superblock) Hashtbl.t;
       (** superblock cache, keyed by entry pc; machine-wide so
           {!pretranslate} can warm it before any context exists *)
@@ -96,7 +82,7 @@ type t = {
           part of any digest (they are dispatch-path-dependent by
           design: the reference interpreter reports zeros).
           [ctr_block_entries] counts translated-body entries (one per
-          superblock unit entered / per block body executed) *)
+          superblock unit entered) *)
   mutable ctr_sb_hits : int;  (** warm superblock dispatches *)
   mutable ctr_sb_translations : int;  (** superblocks (re)translated *)
   mutable ctr_side_exits : int;
@@ -126,7 +112,11 @@ exception Out_of_fuel
 
 val create : unit -> t
 
-(** Enable/disable translated-block dispatch on one machine. *)
+(** Choose the dispatcher on one machine: [true] (the default) runs
+    superblocks with the return-address stack and inline caches,
+    [false] the reference stepper — the oracle the superblock path is
+    checked against.  Results, costs and digests are identical either
+    way. *)
 val set_block_cache : t -> bool -> unit
 
 (** Select the enforcement posture for authorization faults (those some
@@ -144,29 +134,8 @@ val set_posture : t -> Fault.posture -> unit
     machines internally. *)
 val set_default_block_cache : bool -> unit
 
-(** Enable/disable superblock (trace-compiled) dispatch on one machine;
-    with it off (and [block_cache] on) [run] uses the PR 5
-    one-block-at-a-time path.  Results, costs and digests are identical
-    in every mode — triage only. *)
-val set_superblocks : t -> bool -> unit
-
-(** Process-wide default for {!create}: the [--no-superblocks] escape
-    hatch, mirroring {!set_default_block_cache}. *)
-val set_default_superblocks : bool -> unit
-
-(** Enable/disable the dynamic-transfer predictors (return-address
-    stack + inline caches) on one machine.  Toggling drops the
-    superblock cache and any live predictions — translation shapes
-    depend on the setting.  Results, costs and digests are identical in
-    every mode — triage only. *)
-val set_ras : t -> bool -> unit
-
-(** Process-wide default for {!create}: the [--no-ras] escape hatch,
-    mirroring {!set_default_superblocks}. *)
-val set_default_ras : bool -> unit
-
-(** Warm the superblock cache for the entry point at [pc] (a no-op
-    unless both fast paths are enabled, or when [pc] is unmapped or not
+(** Warm the superblock cache for the entry point at [pc] (a no-op on
+    the reference stepper, or when [pc] is unmapped or not
     executable).  Called at proxy/template generation time so the first
     dIPC crossing dispatches into already-compiled code; only effective
     if no later [Memory.place_code]/table change bumps a generation —
@@ -210,15 +179,17 @@ val check_data : t -> ctx -> addr:int -> len:int -> perm:Perm.t -> unit
     rights allow any target, call rights only aligned entry points. *)
 val check_transfer : t -> ctx -> int -> unit
 
-(** Execute one instruction (the reference stepper). *)
+(** Execute one instruction (the reference stepper: fetch, transfer
+    check, charge, then the instruction's compiled semantics). *)
 val step : t -> ctx -> [ `Halted | `Running ]
 
 (** Run until Halt; raises {!Fault.Fault} on protection violations and
-    {!Out_of_fuel} after [fuel] instructions.  Dispatches through the
-    translated-block cache when [block_cache] is set, the tracer is
-    disabled and no injector is installed; otherwise steps through the
-    reference interpreter.  Both paths produce identical architectural
-    state, costs, Breakdown totals and trace digests. *)
+    {!Out_of_fuel} after [fuel] instructions.  Two dispatchers share one
+    instruction semantics: superblocks (with the return-address stack
+    and inline caches) when [block_cache] is set, the tracer is disabled
+    and no injector is installed; otherwise the reference stepper.  Both
+    produce identical architectural state, costs, Breakdown totals and
+    trace digests. *)
 val run : ?fuel:int -> t -> ctx -> unit
 
 (** Kernel-privilege redirection (fault unwinding, Sec. 5.2.1): set the

@@ -21,7 +21,7 @@
    to subsequent loads.
 
    [code_gen] counts [place_code] calls: it versions the code store so
-   the machine's translated-block cache can tell whether any code it
+   the machine's superblock cache can tell whether any code it
    decoded earlier might have been overwritten (self-modifying code,
    loaders reusing addresses).
 

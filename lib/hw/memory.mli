@@ -27,6 +27,6 @@ val place_code : t -> addr:int -> Isa.instr list -> int
 val code_size : t -> int
 
 (** Version of the code store: bumped by every {!place_code} call, so
-    cached decodings (the machine's translated-block cache) can detect
+    cached decodings (the machine's superblock cache) can detect
     self-modified or re-placed code. *)
 val code_generation : t -> int

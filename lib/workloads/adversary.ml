@@ -17,10 +17,10 @@
    per scenario, via a fresh Trace accumulator): under one posture the
    three backends must produce byte-identical digests over the
    cross-backend subset, and the CODOMs sweep must digest identically
-   with the translated-block cache on and off.  The CODOMs sweep runs
-   all attacks on ONE shared machine, rewriting the attack program in
-   place between scenarios and revoking/re-granting APL entries as it
-   goes — deliberately hostile to stale block translations. *)
+   on the superblock dispatcher and the reference stepper.  The CODOMs
+   sweep runs all attacks on ONE shared machine, rewriting the attack
+   program in place between scenarios and revoking/re-granting APL
+   entries as it goes — deliberately hostile to stale superblocks. *)
 
 module Machine = Dipc_hw.Machine
 module Memory = Dipc_hw.Memory

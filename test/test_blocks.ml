@@ -1,25 +1,27 @@
-(* Translated-block cache and superblock compiler vs. the reference
-   stepper.
+(* Superblock compiler vs. the reference stepper.
 
-   [Machine.run] dispatches straight-line code through decoded basic
-   blocks (PR 5) and, by default, through chained superblocks with
-   speculative continuations; these tests pin the contract that both
-   fast paths are *observationally identical* to stepping: same
-   registers, memory, instret, cost, Breakdown totals (float-sum order
-   included), same faults at the same pcs, same Out_of_fuel truncation
-   points, and same replay digests — plus directed tests that every
-   generation guard (code rewrite, page remap, APL revoke, APL-cache
-   flush) invalidates stale translations, and that every superblock
+   [Machine.run] has two dispatchers over one instruction semantics:
+   the reference stepper, and (by default) chained superblocks with
+   speculative continuations and dynamic-transfer predictors.  These
+   tests pin the contract that the superblock path is *observationally
+   identical* to stepping: same registers, memory, instret, cost,
+   Breakdown totals (float-sum order included), same faults at the
+   same pcs, same Out_of_fuel truncation points, and same replay
+   digests — plus directed tests that every generation guard (code
+   rewrite, page remap, APL revoke) invalidates stale translations, an
+   APL-cache flush mid-run changes nothing, and that every superblock
    side-exit class (speculation miss, in-place retag, fuel exhaustion
    at a junction) falls back to the interpreter without divergence.
 
-   PR 10 adds the dynamic-transfer predictors (return-address stack on
-   Ret, monomorphic inline caches on Jmpr/Callr): a fourth
-   differential mode runs superblocks with prediction disabled, the
-   random programs grow recursive call towers, mid-run return-target
-   rewrites and polymorphic indirect sites, and directed tests pin RAS
+   The predictors (return-address stack on Ret, monomorphic inline
+   caches on Jmpr/Callr) are exercised by random programs with
+   recursive call towers, mid-run return-target rewrites and
+   polymorphic indirect sites, and directed tests pin RAS
    misprediction, RAS over/underflow, IC invalidation on retag, and
-   the hits + misses = dispatches counter invariants. *)
+   the hits + misses = dispatches counter invariants.  Both
+   dispatchers share [compile_instr], so this differential tests
+   dispatch; test_hw.ml checks the semantics themselves against the
+   ISA. *)
 
 module Machine = Dipc_hw.Machine
 module Memory = Dipc_hw.Memory
@@ -35,19 +37,13 @@ module Trace = Dipc_sim.Trace
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
-(* The four dispatch modes under differential test.  Superblocks ride
-   on top of the basic-block cache, and the dynamic-transfer predictors
-   (RAS + inline caches) ride on top of superblocks, so the lattice is:
-   reference stepper < PR 5 block cache < superblock compiler with
-   prediction off (--no-ras) < full superblock compiler. *)
-type mode = Reference | Blocks | Noras | Superblocks
+(* The two dispatch modes under differential test. *)
+type mode = Reference | Superblocks
 
-let all_modes = [ Reference; Blocks; Noras; Superblocks ]
+let all_modes = [ Reference; Superblocks ]
 
 let mode_name = function
   | Reference -> "reference"
-  | Blocks -> "blocks"
-  | Noras -> "superblocks-noras"
   | Superblocks -> "superblocks"
 
 (* --- a small fixed universe for random programs --- *)
@@ -92,9 +88,7 @@ type universe = {
    the differential properties cover them like any other instruction. *)
 let setup ~mode prog =
   let m = Machine.create () in
-  Machine.set_block_cache m (mode <> Reference);
-  Machine.set_superblocks m (mode = Superblocks || mode = Noras);
-  Machine.set_ras m (mode = Superblocks);
+  Machine.set_block_cache m (mode = Superblocks);
   let tag_a = Apl.fresh_tag m.Machine.apl in
   let tag_b = Apl.fresh_tag m.Machine.apl in
   let tag_b2 = Apl.fresh_tag m.Machine.apl in
@@ -248,14 +242,11 @@ let run_one ~mode ?fuel prog =
 
 let prop_differential =
   QCheck.Test.make
-    ~name:"superblocks == blocks == reference (random programs)" ~count:300
+    ~name:"superblocks == reference (random programs)" ~count:300
     QCheck.(pair ops_gen (frequency [ (4, always 100_000); (1, int_range 1 40) ]))
     (fun (ops, fuel) ->
       let prog = prog_of_ops ops in
-      let reference = run_one ~mode:Reference ~fuel prog in
-      run_one ~mode:Blocks ~fuel prog = reference
-      && run_one ~mode:Noras ~fuel prog = reference
-      && run_one ~mode:Superblocks ~fuel prog = reference)
+      run_one ~mode:Superblocks ~fuel prog = run_one ~mode:Reference ~fuel prog)
 
 let prop_differential_traced_digest =
   QCheck.Test.make
@@ -272,12 +263,10 @@ let prop_differential_traced_digest =
         (observe u ctx outcome, Trace.digest_hex tr)
       in
       match List.map traced all_modes with
-      | [ (s_ref, d_ref); (s_blk, d_blk); (s_nr, d_nr); (s_sb, d_sb) ] ->
+      | [ (s_ref, d_ref); (s_sb, d_sb) ] ->
           (* traced runs agree with each other and with the untraced
              superblock run *)
-          s_ref = s_blk && s_ref = s_nr && s_ref = s_sb && d_ref = d_blk
-          && d_ref = d_nr && d_ref = d_sb
-          && s_ref = run_one ~mode:Superblocks prog
+          s_ref = s_sb && d_ref = d_sb && s_ref = run_one ~mode:Superblocks prog
       | _ -> false)
 
 let prop_self_modifying =
@@ -297,25 +286,17 @@ let prop_self_modifying =
         let o2 = run_outcome u c2 in
         (s1, observe u c2 o2)
       in
-      let reference = both Reference in
-      both Blocks = reference && both Noras = reference
-      && both Superblocks = reference)
+      both Superblocks = both Reference)
 
 (* --- directed invalidation tests --- *)
 
-(* Run [f] under every mode and check the fast paths against the
+(* Run [f] under both modes and check the superblock path against the
    reference result. *)
 let check_all name f =
-  let reference = f Reference in
-  Alcotest.(check bool) (name ^ " (blocks)") true (f Blocks = reference);
-  Alcotest.(check bool)
-    (name ^ " (superblocks-noras)")
-    true
-    (f Noras = reference);
   Alcotest.(check bool)
     (name ^ " (superblocks)")
     true
-    (f Superblocks = reference)
+    (f Superblocks = f Reference)
 
 let test_code_rewrite () =
   let prog v =
@@ -404,8 +385,8 @@ let test_apl_cache_flush_midrun () =
   let run mode =
     let u = setup ~mode prog in
     Machine.set_syscall_handler u.m (fun ctx _n ->
-        (* deliberate flush: bumps the per-thread cache generation, so a
-           warm block translated before the syscall is retranslated *)
+        (* deliberate flush: superblocks consult the per-thread cache
+           live, so the run after it must take the same refill path *)
         Apl_cache.reset ctx.Machine.apl_cache);
     let ctx = fresh_ctx u in
     let o = run_outcome u ctx in
@@ -440,10 +421,6 @@ let test_fuel_truncation () =
   in
   for fuel = 1 to 60 do
     let (o, _, _, _) as reference = run Reference fuel in
-    Alcotest.(check bool)
-      (Printf.sprintf "fuel=%d truncates identically (blocks)" fuel)
-      true
-      (run Blocks fuel = reference);
     Alcotest.(check bool)
       (Printf.sprintf "fuel=%d truncates identically (superblocks)" fuel)
       true
@@ -546,9 +523,7 @@ let test_side_exit_inplace_retag () =
     (observe u ctx o, u.m.Machine.ctr_side_exits)
   in
   let (s_ref, _) = run Reference in
-  let (s_blk, _) = run Blocks in
   let (s_sb, side_exits) = run Superblocks in
-  Alcotest.(check bool) "retag identical on blocks path" true (s_blk = s_ref);
   Alcotest.(check bool) "retag identical on superblock path" true (s_sb = s_ref);
   (match s_ref with
   | Done, regs, _, _, _, _ ->
@@ -717,8 +692,7 @@ let test_ic_invalidation_retag () =
 
 (* The counter contract: every chained Ret dispatch is exactly one RAS
    hit or miss, every chained Jmpr/Callr dispatch exactly one IC hit or
-   miss — in both prediction modes (with --no-ras everything is a
-   miss). *)
+   miss. *)
 let test_counter_invariants () =
   let loop = code0 + (5 * Isa.instr_bytes) in
   let jback = code0 + (10 * Isa.instr_bytes) in
@@ -753,34 +727,15 @@ let test_counter_invariants () =
   Alcotest.(check int) "ic hits + misses = chained indirect dispatches" 49
     (m.Machine.ctr_ic_hits + m.Machine.ctr_ic_misses);
   Alcotest.(check bool) "predictors mostly hit" true
-    (m.Machine.ctr_ras_hits >= 45 && m.Machine.ctr_ic_hits >= 40);
-  let m0 = counters Noras in
-  Alcotest.(check int) "no-ras: every Ret dispatch is a miss" 50
-    m0.Machine.ctr_ras_misses;
-  Alcotest.(check int) "no-ras: every indirect dispatch is a miss" 49
-    m0.Machine.ctr_ic_misses;
-  Alcotest.(check int) "no-ras: no hits" 0
-    (m0.Machine.ctr_ras_hits + m0.Machine.ctr_ic_hits)
+    (m.Machine.ctr_ras_hits >= 45 && m.Machine.ctr_ic_hits >= 40)
 
 let test_default_toggle () =
   Machine.set_default_block_cache false;
   let m1 = Machine.create () in
   Machine.set_default_block_cache true;
-  Machine.set_default_superblocks false;
   let m2 = Machine.create () in
-  Machine.set_default_superblocks true;
-  let m3 = Machine.create () in
-  Machine.set_default_ras false;
-  let m4 = Machine.create () in
-  Machine.set_default_ras true;
   Alcotest.(check bool) "default off is sampled" false m1.Machine.block_cache;
-  Alcotest.(check bool) "default on is sampled" true m2.Machine.block_cache;
-  Alcotest.(check bool) "superblock default off is sampled" false
-    m2.Machine.superblocks;
-  Alcotest.(check bool) "superblock default on is sampled" true
-    m3.Machine.superblocks;
-  Alcotest.(check bool) "ras default on is sampled" true m3.Machine.ras;
-  Alcotest.(check bool) "ras default off is sampled" false m4.Machine.ras
+  Alcotest.(check bool) "default on is sampled" true m2.Machine.block_cache
 
 let suites =
   [

@@ -595,6 +595,316 @@ let test_machine_apl_cache_counts () =
   (* First touch of each domain misses; afterwards everything hits. *)
   Alcotest.(check bool) "at most 2 misses" true (misses <= 2)
 
+(* --- instruction semantics against the ISA definition --- *)
+
+(* One directed case per constructor that no other test names, each run
+   on both dispatchers (the reference stepper and superblocks share one
+   compiled semantics, so their differential alone cannot catch a wrong
+   closure).  Expected registers, DCS state and costs come from the ISA
+   (isa.mli, paper Sec. 4): every retired instruction charges
+   [Isa.cost], an APL-cache refill adds [Machine.apl_cache_refill_cost],
+   and a privileged instruction on an unprivileged page raises
+   [Privilege_required] at its own pc under the Strict posture. *)
+
+let dispatchers = [ ("reference", false); ("superblocks", true) ]
+
+let grant_priv w =
+  match Page_table.find w.m.Machine.page_table w.code_a with
+  | Some p -> p.Page_table.priv_cap <- true
+  | None -> Alcotest.fail "code page missing"
+
+(* Run [instrs] from A's code page; [None] = halted, [Some f] = faulted. *)
+let run_isa ~compiled ?(priv = false) ?(setup = fun _ _ -> ()) instrs =
+  let w = build_world () in
+  Machine.set_block_cache w.m compiled;
+  Machine.set_posture w.m Fault.Strict;
+  if priv then grant_priv w;
+  ignore (Memory.place_code w.m.Machine.mem ~addr:w.code_a instrs);
+  let ctx = Machine.new_ctx w.m ~pc:w.code_a ~sp_value:w.stack_a in
+  install_stack_cap w ctx;
+  setup w ctx;
+  let outcome =
+    match Machine.run w.m ctx with () -> None | exception Fault.Fault f -> Some f
+  in
+  (w, ctx, outcome)
+
+let check_halted name = function
+  | None -> ()
+  | Some f -> Alcotest.failf "%s: unexpected fault %s" name (Fault.to_string f)
+
+(* [retired] lists the instructions executed, in order. *)
+let check_retired ?(extra = 0.) name ctx retired =
+  Alcotest.(check int) (name ^ ": instret") (List.length retired)
+    ctx.Machine.instret;
+  Alcotest.(check (float 1e-9))
+    (name ^ ": cost")
+    (List.fold_left (fun acc i -> acc +. Isa.cost i) 0. retired +. extra)
+    ctx.Machine.cost
+
+(* [instr] at the second slot of an unprivileged page faults at its own
+   pc; [unchanged] checks that it left no architectural effect. *)
+let check_privileged instr unchanged =
+  List.iter
+    (fun (mode, compiled) ->
+      let w, ctx, outcome = run_isa ~compiled [ Isa.Const (1, 1); instr; Isa.Halt ] in
+      match outcome with
+      | Some { Fault.kind = Fault.Privilege_required; pc; _ } ->
+          Alcotest.(check int) (mode ^ ": fault pc") (w.code_a + Isa.instr_bytes) pc;
+          unchanged mode ctx
+      | _ -> Alcotest.failf "%s: %a must need privilege" mode Isa.pp instr)
+    dispatchers
+
+let test_isa_bne () =
+  let skip = 0x100000 + (6 * Isa.instr_bytes) in
+  let prog =
+    [
+      Isa.Const (1, 5);
+      Isa.Const (2, 5);
+      Isa.Bne (1, 2, skip) (* equal: falls through *);
+      Isa.Const (3, 1);
+      Isa.Bne (1, 3, skip) (* 5 <> 1: taken *);
+      Isa.Const (4, 99) (* skipped *);
+      Isa.Halt;
+    ]
+  in
+  let retired = List.filteri (fun i _ -> i <> 5) prog in
+  List.iter
+    (fun (mode, compiled) ->
+      let _, ctx, outcome = run_isa ~compiled prog in
+      check_halted mode outcome;
+      Alcotest.(check int) (mode ^ ": fall-through ran") 1 ctx.Machine.regs.(3);
+      Alcotest.(check int) (mode ^ ": taken arm skipped") 0 ctx.Machine.regs.(4);
+      check_retired mode ctx retired)
+    dispatchers
+
+let test_isa_rddepth () =
+  (* the hardware call depth: 0 at the top level, 1 inside one Call *)
+  let fn = 0x100000 + 0x100 in
+  let body = [ Isa.RdDepth 2; Isa.Ret ] in
+  let main = [ Isa.RdDepth 1; Isa.Call fn; Isa.Halt ] in
+  List.iter
+    (fun (mode, compiled) ->
+      let _, ctx, outcome =
+        run_isa ~compiled ~priv:true
+          ~setup:(fun w _ -> ignore (Memory.place_code w.m.Machine.mem ~addr:fn body))
+          main
+      in
+      check_halted mode outcome;
+      Alcotest.(check int) (mode ^ ": top-level depth") 0 ctx.Machine.regs.(1);
+      Alcotest.(check int) (mode ^ ": depth inside the call") 1 ctx.Machine.regs.(2);
+      check_retired mode ctx
+        [ Isa.RdDepth 1; Isa.Call fn; Isa.RdDepth 2; Isa.Ret; Isa.Halt ])
+    dispatchers;
+  check_privileged (Isa.RdDepth 2) (fun mode ctx ->
+      Alcotest.(check int) (mode ^ ": rd untouched") 0 ctx.Machine.regs.(2))
+
+let test_isa_fsbase () =
+  (* WrFsBase/RdFsBase are unprivileged: the TLS segment base starts at 0
+     and reads back what was written *)
+  let prog =
+    [ Isa.RdFsBase 3; Isa.Const (1, 0x7000); Isa.WrFsBase 1; Isa.RdFsBase 2; Isa.Halt ]
+  in
+  List.iter
+    (fun (mode, compiled) ->
+      let _, ctx, outcome = run_isa ~compiled prog in
+      check_halted mode outcome;
+      Alcotest.(check int) (mode ^ ": initial fs base") 0 ctx.Machine.regs.(3);
+      Alcotest.(check int) (mode ^ ": fs base written") 0x7000 ctx.Machine.fsbase;
+      Alcotest.(check int) (mode ^ ": fs base read back") 0x7000 ctx.Machine.regs.(2);
+      check_retired mode ctx prog)
+    dispatchers
+
+let test_isa_gethwtag () =
+  (* every world allocates the same tags, so these name its domains *)
+  let w0 = build_world () in
+  let prog_a = [ Isa.Const (1, w0.tag_a); Isa.GetHwTag (2, 1); Isa.Halt ] in
+  let prog_b = [ Isa.Const (1, w0.tag_b); Isa.GetHwTag (2, 1); Isa.Halt ] in
+  List.iter
+    (fun (mode, compiled) ->
+      (* hit: the running domain's own tag is resident since the first
+         fetch *)
+      let _, ctx, outcome = run_isa ~compiled ~priv:true prog_a in
+      check_halted mode outcome;
+      Alcotest.(check int) (mode ^ ": hit returns the resident hw tag")
+        (Apl_cache.lookup ctx.Machine.apl_cache w0.tag_a)
+        ctx.Machine.regs.(2);
+      check_retired mode ctx prog_a;
+      (* miss, auto-fill: B's tag is installed and the refill charged *)
+      let _, ctx, outcome = run_isa ~compiled ~priv:true prog_b in
+      check_halted mode outcome;
+      let hw = Apl_cache.lookup ctx.Machine.apl_cache w0.tag_b in
+      Alcotest.(check bool) (mode ^ ": miss installs the tag") true (hw >= 0);
+      Alcotest.(check int) (mode ^ ": miss returns the new hw tag") hw
+        ctx.Machine.regs.(2);
+      check_retired mode ctx prog_b ~extra:Machine.apl_cache_refill_cost;
+      (* miss, strict cache: the lookup faults with the missing tag *)
+      let w, ctx, outcome =
+        run_isa ~compiled ~priv:true
+          ~setup:(fun w _ -> w.m.Machine.strict_apl_cache <- true)
+          prog_b
+      in
+      (match outcome with
+      | Some { Fault.kind = Fault.Apl_cache_miss t; pc; _ } ->
+          Alcotest.(check int) (mode ^ ": strict miss names the tag") w.tag_b t;
+          Alcotest.(check int) (mode ^ ": strict miss pc")
+            (w.code_a + Isa.instr_bytes) pc
+      | _ -> Alcotest.failf "%s: strict miss must fault" mode);
+      Alcotest.(check int) (mode ^ ": strict miss writes nothing") 0
+        ctx.Machine.regs.(2))
+    dispatchers;
+  check_privileged (Isa.GetHwTag (2, 1)) (fun mode ctx ->
+      Alcotest.(check int) (mode ^ ": rd untouched") 0 ctx.Machine.regs.(2))
+
+let test_isa_caprevoke () =
+  (* CapRevoke bumps the running domain's counter: capabilities stamped
+     under it die, those on other counters live on *)
+  let prog =
+    [
+      Isa.Const (1, 0x300000);
+      Isa.Const (2, 64);
+      Isa.CapAplDerive (0, 1, 2, Perm.Write);
+      Isa.Const (3, 3);
+      Isa.Const (4, 4);
+      Isa.CapAsync (1, 0, 3);
+      Isa.CapAsync (2, 0, 4);
+      Isa.CapRevoke 3;
+      Isa.Halt;
+    ]
+  in
+  List.iter
+    (fun (mode, compiled) ->
+      let w, ctx, outcome = run_isa ~compiled prog in
+      check_halted mode outcome;
+      let value counter =
+        Capability.Revocation.value w.m.Machine.revocation ~tag:w.tag_a ~counter
+      in
+      Alcotest.(check int) (mode ^ ": counter 3 bumped") 1 (value 3);
+      Alcotest.(check int) (mode ^ ": counter 4 untouched") 0 (value 4);
+      let valid c =
+        match ctx.Machine.cregs.(c) with
+        | Some cap -> Machine.cap_valid w.m ctx cap
+        | None -> Alcotest.failf "%s: c%d empty" mode c
+      in
+      Alcotest.(check bool) (mode ^ ": revoked capability dead") false (valid 1);
+      Alcotest.(check bool) (mode ^ ": other counter's capability live") true
+        (valid 2);
+      check_retired mode ctx prog)
+    dispatchers
+
+let test_isa_capclear () =
+  let prog =
+    [
+      Isa.Const (1, 0x300000);
+      Isa.Const (2, 64);
+      Isa.CapAplDerive (0, 1, 2, Perm.Write);
+      Isa.CapAplDerive (1, 1, 2, Perm.Read);
+      Isa.CapClear 0;
+      Isa.Halt;
+    ]
+  in
+  List.iter
+    (fun (mode, compiled) ->
+      let _, ctx, outcome = run_isa ~compiled prog in
+      check_halted mode outcome;
+      Alcotest.(check bool) (mode ^ ": c0 cleared") true (ctx.Machine.cregs.(0) = None);
+      Alcotest.(check bool) (mode ^ ": c1 kept") true (ctx.Machine.cregs.(1) <> None);
+      Alcotest.(check bool) (mode ^ ": stack capability kept") true
+        (ctx.Machine.cregs.(6) <> None);
+      check_retired mode ctx prog)
+    dispatchers
+
+let test_isa_dcs_base () =
+  (* DcsGetBase reads the DCS base (0 on a fresh stack); DcsSetBase
+     raises it, after which unprivileged pops below it fault *)
+  let prog =
+    [
+      Isa.DcsGetBase 1;
+      Isa.CapPush 6;
+      Isa.CapPush 6;
+      Isa.Const (2, 2);
+      Isa.DcsSetBase 2;
+      Isa.DcsGetBase 3;
+      Isa.CapPop 4;
+      Isa.Halt;
+    ]
+  in
+  List.iter
+    (fun (mode, compiled) ->
+      let w, ctx, outcome = run_isa ~compiled ~priv:true prog in
+      (match outcome with
+      | Some { Fault.kind = Fault.Dcs_bounds _; pc; _ } ->
+          Alcotest.(check int) (mode ^ ": pop below base faults")
+            (w.code_a + (6 * Isa.instr_bytes)) pc
+      | _ -> Alcotest.failf "%s: pop below the raised base must fault" mode);
+      Alcotest.(check int) (mode ^ ": fresh base") 0 ctx.Machine.regs.(1);
+      Alcotest.(check int) (mode ^ ": base read back") 2 ctx.Machine.regs.(3);
+      Alcotest.(check int) (mode ^ ": DCS base") 2 (Dcs.base ctx.Machine.dcs);
+      Alcotest.(check int) (mode ^ ": DCS depth") 2 (Dcs.depth ctx.Machine.dcs);
+      Alcotest.(check bool) (mode ^ ": c4 not written") true
+        (ctx.Machine.cregs.(4) = None);
+      (* the faulting pop retires and is charged before it faults *)
+      check_retired mode ctx (List.filteri (fun i _ -> i < 7) prog))
+    dispatchers;
+  check_privileged (Isa.DcsGetBase 2) (fun mode ctx ->
+      Alcotest.(check int) (mode ^ ": rd untouched") 0 ctx.Machine.regs.(2));
+  check_privileged (Isa.DcsSetBase 1) (fun mode ctx ->
+      Alcotest.(check int) (mode ^ ": base unchanged") 0 (Dcs.base ctx.Machine.dcs))
+
+let test_isa_dcs_switch_restore () =
+  (* DcsSwitch r: a fresh stack holding only the top r entries; DcsRestore
+     r: the caller's stack back, plus the callee's top r entries *)
+  let prog =
+    [
+      Isa.CapPush 6;
+      Isa.CapPush 6;
+      Isa.CapPush 6;
+      Isa.Const (1, 1);
+      Isa.DcsSwitch 1;
+      Isa.DcsGetTop 2;
+      Isa.DcsGetBase 3;
+      Isa.CapPush 6;
+      Isa.DcsRestore 1;
+      Isa.DcsGetTop 4;
+      Isa.Halt;
+    ]
+  in
+  List.iter
+    (fun (mode, compiled) ->
+      let _, ctx, outcome =
+        run_isa ~compiled ~priv:true
+          ~setup:(fun _ ctx -> ctx.Machine.regs.(3) <- -1)
+          prog
+      in
+      check_halted mode outcome;
+      Alcotest.(check int) (mode ^ ": callee sees only the argument") 1
+        ctx.Machine.regs.(2);
+      Alcotest.(check int) (mode ^ ": callee base") 0 ctx.Machine.regs.(3);
+      Alcotest.(check int) (mode ^ ": caller stack plus one result") 4
+        ctx.Machine.regs.(4);
+      Alcotest.(check int) (mode ^ ": no stack left detached") 0
+        (Dcs.saved_depth ctx.Machine.dcs);
+      check_retired mode ctx prog)
+    dispatchers;
+  (* a restore with nothing detached is a DCS bounds fault *)
+  List.iter
+    (fun (mode, compiled) ->
+      let w, ctx, outcome =
+        run_isa ~compiled ~priv:true [ Isa.Const (1, 0); Isa.DcsRestore 1; Isa.Halt ]
+      in
+      (match outcome with
+      | Some { Fault.kind = Fault.Dcs_bounds _; pc; _ } ->
+          Alcotest.(check int) (mode ^ ": restore fault pc")
+            (w.code_a + Isa.instr_bytes) pc
+      | _ -> Alcotest.failf "%s: restore without a switch must fault" mode);
+      Alcotest.(check int) (mode ^ ": depth unchanged") 0 (Dcs.depth ctx.Machine.dcs))
+    dispatchers;
+  let untouched mode ctx =
+    Alcotest.(check int) (mode ^ ": nothing detached") 0
+      (Dcs.saved_depth ctx.Machine.dcs)
+  in
+  check_privileged (Isa.DcsSwitch 1) untouched;
+  check_privileged (Isa.DcsRestore 1) untouched
+
 (* --- archcmp (Table 1) --- *)
 
 let test_archcmp_rows () =
@@ -681,6 +991,17 @@ let suites =
         Alcotest.test_case "capability page bits" `Quick test_machine_cap_page_bits;
         Alcotest.test_case "cost accounting" `Quick test_machine_costs_accumulate;
         Alcotest.test_case "apl cache counts" `Quick test_machine_apl_cache_counts;
+      ] );
+    ( "hw.isa",
+      [
+        Alcotest.test_case "Bne" `Quick test_isa_bne;
+        Alcotest.test_case "RdDepth" `Quick test_isa_rddepth;
+        Alcotest.test_case "WrFsBase + RdFsBase" `Quick test_isa_fsbase;
+        Alcotest.test_case "GetHwTag" `Quick test_isa_gethwtag;
+        Alcotest.test_case "CapRevoke" `Quick test_isa_caprevoke;
+        Alcotest.test_case "CapClear" `Quick test_isa_capclear;
+        Alcotest.test_case "DcsGetBase + DcsSetBase" `Quick test_isa_dcs_base;
+        Alcotest.test_case "DcsSwitch + DcsRestore" `Quick test_isa_dcs_switch_restore;
       ] );
     ( "hw.archcmp",
       [

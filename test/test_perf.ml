@@ -826,8 +826,6 @@ let warm_call_words ~same_process ~props =
   Dipc_hw.Machine.set_inject m None;
   Dipc_hw.Machine.set_posture m Fault.Strict;
   Dipc_hw.Machine.set_block_cache m true;
-  Dipc_hw.Machine.set_superblocks m true;
-  Dipc_hw.Machine.set_ras m true;
   let args = [ 1; 2 ] in
   let call () =
     match Dipc_core.Scenario.call sc ~args with
