@@ -40,6 +40,24 @@ let policy_conv =
   in
   Arg.conv (parse, print)
 
+(* Counts and rates that only make sense above zero: anything else is a
+   usage error (exit 124), reported before a run starts. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let policy =
   Arg.(value & opt policy_conv Types.props_low & info [ "policy" ] ~doc:"low or high")
 
@@ -310,13 +328,6 @@ let run_oltp config threads on_disk inject_seed check sweep jobs no_bc =
   apply_block_cache no_bc;
   if sweep then run_oltp_sweep threads on_disk inject_seed check jobs
   else begin
-    let config =
-      match config with
-      | "linux" -> O.Linux
-      | "dipc" -> O.Dipc
-      | "ideal" -> O.Ideal
-      | s -> failwith ("unknown config " ^ s)
-    in
     let db_mode = if on_disk then O.On_disk else O.In_memory in
     let inject = mk_inject inject_seed in
     let tr, chk = mk_checker check in
@@ -341,9 +352,12 @@ let run_oltp config threads on_disk inject_seed check sweep jobs no_bc =
 
 let oltp_cmd =
   let config =
-    Arg.(value & opt string "dipc" & info [ "config" ] ~doc:"linux|dipc|ideal")
+    let configs = [ ("linux", O.Linux); ("dipc", O.Dipc); ("ideal", O.Ideal) ] in
+    Arg.(value & opt (enum configs) O.Dipc & info [ "config" ] ~doc:"linux|dipc|ideal")
   in
-  let threads = Arg.(value & opt int 16 & info [ "threads" ] ~doc:"per component") in
+  let threads =
+    Arg.(value & opt positive_int 16 & info [ "threads" ] ~doc:"per component")
+  in
   let on_disk = Arg.(value & flag & info [ "on-disk" ] ~doc:"on-disk database") in
   let sweep =
     Arg.(
@@ -416,12 +430,12 @@ let open_cmd =
   in
   let load =
     Arg.(
-      value & opt float 0.85
+      value & opt positive_float 0.85
       & info [ "load" ] ~docv:"RHO" ~doc:"offered load (rho; > 1 is overload)")
   in
   let sessions =
     Arg.(
-      value & opt int 100_000
+      value & opt positive_int 100_000
       & info [ "sessions" ] ~doc:"client sessions to simulate")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed") in
