@@ -37,8 +37,6 @@ Flags (recognised anywhere on the command line):
   --jobs N            shard independent runs over N domains (0 = one per
                       recommended core); digests and printed results are
                       identical at any N
-  --shards N          partition one simulation into N shards (0 = one per
-                      recommended core); digests are identical at any N
   --no-block-cache    force the reference interpreter instead of the
                       machine's superblock dispatch; results and digests
                       are identical either way
@@ -49,12 +47,12 @@ let modes = [ "--trace"; "--json"; "--matrix"; "--security"; "--open" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec extract check inject jobs shards acc = function
-    | [] -> (check, inject, jobs, shards, List.rev acc)
-    | "--check" :: rest -> extract true inject jobs shards acc rest
+  let rec extract check inject jobs acc = function
+    | [] -> (check, inject, jobs, List.rev acc)
+    | "--check" :: rest -> extract true inject jobs acc rest
     | "--no-block-cache" :: rest ->
         Dipc_hw.Machine.set_default_block_cache false;
-        extract check inject jobs shards acc rest
+        extract check inject jobs acc rest
     | ("-h" | "--help") :: _ ->
         print_string usage;
         exit 0
@@ -65,7 +63,7 @@ let () =
         match Dipc_hw.Fault.posture_of_string s with
         | Some p ->
             Dipc_hw.Fault.set_default_posture p;
-            extract check inject jobs shards acc rest
+            extract check inject jobs acc rest
         | None ->
             Printf.eprintf "--posture needs strict | audit | permissive, got %S\n" s;
             exit 2)
@@ -74,7 +72,7 @@ let () =
         exit 2
     | "--inject" :: s :: rest -> (
         match int_of_string_opt s with
-        | Some seed -> extract check (Some seed) jobs shards acc rest
+        | Some seed -> extract check (Some seed) jobs acc rest
         | None ->
             Printf.eprintf "--inject needs an integer seed, got %S\n" s;
             exit 2)
@@ -84,33 +82,22 @@ let () =
     | "--jobs" :: s :: rest -> (
         match int_of_string_opt s with
         | Some 0 ->
-            extract check inject (Parallel.default_jobs ()) shards acc rest
-        | Some n when n > 0 -> extract check inject n shards acc rest
+            extract check inject (Parallel.default_jobs ()) acc rest
+        | Some n when n > 0 -> extract check inject n acc rest
         | _ ->
             Printf.eprintf "--jobs needs a non-negative integer, got %S\n" s;
-            exit 2)
-    | [ "--shards" ] ->
-        Printf.eprintf "--shards needs an integer count\n";
-        exit 2
-    | "--shards" :: s :: rest -> (
-        match int_of_string_opt s with
-        | Some 0 ->
-            extract check inject jobs (Parallel.default_jobs ()) acc rest
-        | Some n when n > 0 -> extract check inject jobs n acc rest
-        | _ ->
-            Printf.eprintf "--shards needs a non-negative integer, got %S\n" s;
             exit 2)
     | x :: _ when String.starts_with ~prefix:"-" x && not (List.mem x modes) ->
         Printf.eprintf "unknown flag %s\n%s" x usage;
         exit 2
-    | x :: rest -> extract check inject jobs shards (x :: acc) rest
+    | x :: rest -> extract check inject jobs (x :: acc) rest
   in
-  let check, inject_seed, jobs, shards, args = extract false None 1 1 [] args in
+  let check, inject_seed, jobs, args = extract false None 1 [] args in
   match args with
   | "--trace" :: rest ->
       Suite.trace_smoke (match rest with out :: _ -> out | [] -> "trace.json")
   | "--json" :: rest ->
-      Suite.bench_json ~check ?inject_seed ~shards ~jobs
+      Suite.bench_json ~check ?inject_seed ~jobs
         (match rest with out :: _ -> out | [] -> "BENCH_fixed_seed.json")
   | "--matrix" :: _ ->
       let runs, faults =
@@ -134,12 +121,12 @@ let () =
                 exit 2)
         | [] -> Suite.OL.Poisson
       in
-      let rows = Suite.open_sweep ~jobs ~shards ~arrival () in
+      let rows = Suite.open_sweep ~jobs ~arrival () in
       Printf.printf "open sweep: %d cells\n%!" (List.length rows)
   | [] ->
       if check || inject_seed <> None then
         (* flags without a mode: run the digest suite under them *)
-        Suite.bench_json ~check ?inject_seed ~shards ~jobs
+        Suite.bench_json ~check ?inject_seed ~jobs
           "BENCH_fixed_seed.json"
       else List.iter (fun (_, f) -> f ()) Suite.experiments
   | names ->

@@ -28,8 +28,6 @@ module M = Dipc_workloads.Microbench
 module O = Dipc_workloads.Oltp
 module N = Dipc_workloads.Netpipe
 module S = Dipc_workloads.Sensitivity
-module Shard = Dipc_sim.Shard
-module Wire = Dipc_kernel.Wire
 
 let header title =
   Printf.printf "\n==============================================================\n";
@@ -536,7 +534,7 @@ type bench_result = {
          body entries, superblock hits/translations, side exits) for the
          machine-interpreter experiments; [] for kernel-model cells.
          Pure functions of the simulated execution — identical at any
-         --jobs/--shards — but *dispatch-path-dependent* by design
+         --jobs — but *dispatch-path-dependent* by design
          (--no-block-cache reports different counts), so they are
          emitted as their own JSON column and never enter a digest: the
          A/B byte-diff job compares digests only, while the
@@ -639,29 +637,13 @@ let bench_micro ?(check = false) ?inject_seed name prim ~same_cpu =
     b_metric = r.M.mean_ns;
   }
 
-(* The closed OLTP model sharded at its UNIX-socket/NIC cut: with
-   [--shards N > 1] the bounded warmup/measure drives route through the
-   conservative coordinator in lookahead-sized windows (window width =
-   the wire latency of the socket/NIC boundary, the minimum latency of
-   any cross-tier interaction), with idle peer shards standing in for
-   the remote side of the cut.  [Shard.run_windowed ~until] is pinned
-   byte-identical to the plain [Engine.run_until] drive at any shard
-   count and lookahead, so the digests cannot move — the shard-
-   equivalence CI job byte-diffs the full report at --shards 1 vs 2. *)
-let bench_oltp ?(check = false) ?inject_seed ?(shards = 1) name config =
-  let drive_until =
-    if shards > 1 then
-      Some
-        (fun e until ->
-          Shard.run_windowed ~shards ~lookahead:Wire.default_latency ~until e)
-    else None
-  in
+let bench_oltp ?(check = false) ?inject_seed name config =
   let (tr, r, chk), wall =
     timed (fun () ->
         let tr = mk_tracer () in
         let chk = mk_checker check tr in
         let r =
-          O.run ~trace:tr ?inject:(mk_inject inject_seed) ?drive_until ~config
+          O.run ~trace:tr ?inject:(mk_inject inject_seed) ~config
             ~db_mode:O.In_memory ~threads:96 ()
         in
         (tr, r, chk))
@@ -1150,12 +1132,11 @@ type open_row = {
   op_line : string;  (* pre-rendered verbose line *)
 }
 
-let open_run_row ?(shards = 1) ~prim ~service_ns ~arrival ~load ~sessions ~seed
-    () =
+let open_run_row ~prim ~service_ns ~arrival ~load ~sessions ~seed () =
   let p =
     OL.default_params ~seed ~sessions ~offered_load:load ~arrival ~service_ns ()
   in
-  let r = OL.run_sharded ~shards p in
+  let r = OL.run p in
   let pc q = Histogram.percentile r.OL.r_latency q in
   let p50 = pc 50. and p99 = pc 99. and p999 = pc 99.9 in
   let util = OL.utilization r ~servers:p.OL.servers in
@@ -1180,11 +1161,7 @@ let open_run_row ?(shards = 1) ~prim ~service_ns ~arrival ~load ~sessions ~seed
    domains, verbose lines printed in submission order (stdout
    byte-identical at any [jobs]), then the per-primitive saturation
    knee from the p99-vs-load curve. *)
-(* [shards] partitions each cell's simulation internally (conservative
-   windows, DESIGN.md Sec. 14) — orthogonal to [jobs], which shards
-   *across* cells.  Digests and stdout are byte-identical at any
-   combination; 1 is the serial reference path. *)
-let open_sweep ?(jobs = 1) ?(shards = 1) ?(sessions = open_sweep_sessions)
+let open_sweep ?(jobs = 1) ?(sessions = open_sweep_sessions)
     ?(arrival = OL.Poisson) () =
   header
     (Printf.sprintf
@@ -1201,8 +1178,7 @@ let open_sweep ?(jobs = 1) ?(shards = 1) ?(sessions = open_sweep_sessions)
                 (fun load_idx load ->
                   ( Printf.sprintf "open/%s/rho=%.2f" prim load,
                     fun () ->
-                      open_run_row ~shards ~prim ~service_ns ~arrival ~load
-                        ~sessions
+                      open_run_row ~prim ~service_ns ~arrival ~load ~sessions
                         ~seed:(open_cell_seed ~prim_idx ~load_idx) () ))
                 open_loads)
             costs))
@@ -1245,11 +1221,11 @@ let open_sweep ?(jobs = 1) ?(shards = 1) ?(sessions = open_sweep_sessions)
    against unintended drift. *)
 let open_bench_sessions = 20_000
 
-let bench_open ?(shards = 1) name prim arrival load () =
+let bench_open name prim arrival load () =
   let service_ns = List.assoc prim (open_costs ()) in
   let r, wall =
     timed (fun () ->
-        OL.run_sharded ~shards
+        OL.run
           (OL.default_params ~seed:42 ~sessions:open_bench_sessions
              ~offered_load:load ~arrival ~service_ns ()))
   in
@@ -1265,16 +1241,14 @@ let bench_open ?(shards = 1) name prim arrival load () =
     b_metric = Histogram.percentile r.OL.r_latency 99.;
   }
 
-let open_tasks ?shards () =
+let open_tasks () =
   [
-    ( "open_sem_poisson70",
-      bench_open ?shards "open_sem_poisson70" "sem" OL.Poisson 0.70 );
-    ( "open_rpc_bursty85",
-      bench_open ?shards "open_rpc_bursty85" "rpc" OL.Bursty 0.85 );
+    ("open_sem_poisson70", bench_open "open_sem_poisson70" "sem" OL.Poisson 0.70);
+    ("open_rpc_bursty85", bench_open "open_rpc_bursty85" "rpc" OL.Bursty 0.85);
     ( "open_dipc_diurnal90",
-      bench_open ?shards "open_dipc_diurnal90" "dipc" OL.Diurnal 0.90 );
+      bench_open "open_dipc_diurnal90" "dipc" OL.Diurnal 0.90 );
     ( "open_pipe_poisson105",
-      bench_open ?shards "open_pipe_poisson105" "pipe" OL.Poisson 1.05 );
+      bench_open "open_pipe_poisson105" "pipe" OL.Poisson 1.05 );
   ]
 
 (* The 13 core experiments plus the 18 security-matrix cells and the 4
@@ -1283,7 +1257,7 @@ let open_tasks ?shards () =
    Every task builds its own Engine/Trace/Rng/Checker universe, so the
    digests are identical whether the tasks run serially or sharded
    across domains — the property test_parallel.ml pins. *)
-let bench_tasks ?check ?inject_seed ?shards () =
+let bench_tasks ?check ?inject_seed () =
   [|
     ("golden_sem_same", fun () -> bench_golden ?check ?inject_seed ());
     ( "sem_same",
@@ -1303,14 +1277,11 @@ let bench_tasks ?check ?inject_seed ?shards () =
       fun () ->
         bench_micro ?check ?inject_seed "rpc_diff" M.Local_rpc ~same_cpu:false );
     ( "oltp_linux_mem96",
-      fun () -> bench_oltp ?check ?inject_seed ?shards "oltp_linux_mem96" O.Linux
-    );
+      fun () -> bench_oltp ?check ?inject_seed "oltp_linux_mem96" O.Linux );
     ( "oltp_dipc_mem96",
-      fun () -> bench_oltp ?check ?inject_seed ?shards "oltp_dipc_mem96" O.Dipc
-    );
+      fun () -> bench_oltp ?check ?inject_seed "oltp_dipc_mem96" O.Dipc );
     ( "oltp_ideal_mem96",
-      fun () -> bench_oltp ?check ?inject_seed ?shards "oltp_ideal_mem96" O.Ideal
-    );
+      fun () -> bench_oltp ?check ?inject_seed "oltp_ideal_mem96" O.Ideal );
     ("machine_hotloop", fun () -> bench_machine_hotloop ());
     ("machine_superblock", fun () -> bench_machine_superblock ());
     ("machine_callret", fun () -> bench_machine_callret ());
@@ -1321,14 +1292,14 @@ let bench_tasks ?check ?inject_seed ?shards () =
     [
       core;
       Array.of_list (security_tasks ());
-      Array.of_list (open_tasks ?shards ());
+      Array.of_list (open_tasks ());
     ]
 
 (* Run the fixed-seed suite, sharded over [jobs] domains (default 1:
    the plain serial path).  Outcomes carry per-run wall/allocation
    stats; order is always submission order. *)
-let bench_suite_outcomes ?check ?inject_seed ?shards ?(jobs = 1) () =
-  Parallel.run ~jobs (bench_tasks ?check ?inject_seed ?shards ())
+let bench_suite_outcomes ?check ?inject_seed ?(jobs = 1) () =
+  Parallel.run ~jobs (bench_tasks ?check ?inject_seed ())
 
 let bench_suite ?check ?inject_seed ?jobs () =
   Array.to_list
@@ -1477,7 +1448,7 @@ let append_history ~out (outcomes : bench_result Parallel.outcome array) =
     Printf.printf "  appended history row to %s\n%!" path
   with Sys_error msg -> Printf.printf "  (history append skipped: %s)\n%!" msg
 
-let bench_json ?(check = false) ?inject_seed ?(shards = 1) ?(jobs = 1) out =
+let bench_json ?(check = false) ?inject_seed ?(jobs = 1) out =
   (* The measured suite runs with a large minor heap: the traced runs
      allocate continuations and trace plumbing at a rate that makes
      minor-collection cadence a visible fraction of wall time with the
@@ -1494,11 +1465,8 @@ let bench_json ?(check = false) ?inject_seed ?(shards = 1) ?(jobs = 1) out =
   | None -> ());
   if check then Printf.printf "  invariant checker attached to every traced run\n";
   if jobs > 1 then Printf.printf "  sharded across %d domains\n" jobs;
-  if shards > 1 then
-    Printf.printf "  intra-run sharding: %d shards per open-arrival cell\n"
-      shards;
   let t0 = Unix.gettimeofday () in
-  let outcomes = bench_suite_outcomes ~check ?inject_seed ~shards ~jobs () in
+  let outcomes = bench_suite_outcomes ~check ?inject_seed ~jobs () in
   let elapsed = Unix.gettimeofday () -. t0 in
   let results = Array.to_list (Array.map (fun o -> o.Parallel.o_value) outcomes) in
   List.iter

@@ -50,6 +50,16 @@ let positive_int =
   in
   Arg.conv (parse, Fmt.int)
 
+(* Counts where zero is meaningful (a 0-byte argument, one job per core)
+   but a negative value is not. *)
+let non_negative_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let positive_float =
   let parse s =
     match float_of_string_opt s with
@@ -87,7 +97,7 @@ let check_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt non_negative_int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "shard independent runs over $(docv) OCaml domains (0 = one per \
@@ -96,18 +106,8 @@ let jobs_arg =
 
 let resolve_jobs n = if n = 0 then Parallel.default_jobs () else n
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "partition a single simulation into $(docv) shards advanced in \
-           conservative lookahead windows on separate OCaml domains \
-           (DESIGN.md Sec. 14); digests and printed results are \
-           byte-identical at any $(docv).  1 (the default) is the serial \
-           reference path, 0 means one shard per recommended core")
-
-let resolve_shards n = if n = 0 then Parallel.default_jobs () else n
+let bytes_arg =
+  Arg.(value & opt non_negative_int 1 & info [ "bytes" ] ~doc:"argument size")
 
 (* --no-block-cache forces the reference stepper, the dispatch oracle;
    results and digests are identical either way. *)
@@ -273,7 +273,6 @@ let ipc_cmd =
   let same_cpu =
     Arg.(value & flag & info [ "same-cpu" ] ~doc:"pin both sides to one CPU")
   in
-  let bytes = Arg.(value & opt int 1 & info [ "bytes" ] ~doc:"argument size") in
   let all =
     Arg.(
       value & flag
@@ -283,7 +282,7 @@ let ipc_cmd =
   Cmd.v
     (Cmd.info "ipc" ~doc:"measure a baseline IPC primitive on the kernel model")
     Term.(
-      const run_ipc $ primitive $ same_cpu $ bytes $ inject_arg $ check_arg
+      const run_ipc $ primitive $ same_cpu $ bytes_arg $ inject_arg $ check_arg
       $ all $ jobs_arg $ no_block_cache_arg)
 
 (* --- oltp: one macro-benchmark cell --- *)
@@ -382,11 +381,10 @@ let arrival_conv =
   in
   Arg.conv (parse, fun ppf a -> Fmt.string ppf (OL.arrival_name a))
 
-let run_open prim arrival load sessions seed sweep jobs shards no_bc =
+let run_open prim arrival load sessions seed sweep jobs no_bc =
   apply_block_cache no_bc;
   let jobs = resolve_jobs jobs in
-  let shards = resolve_shards shards in
-  if sweep then ignore (Suite.open_sweep ~jobs ~shards ~arrival ())
+  if sweep then ignore (Suite.open_sweep ~jobs ~arrival ())
   else begin
     let service_ns =
       match List.assoc_opt prim (Suite.open_costs ()) with
@@ -399,7 +397,7 @@ let run_open prim arrival load sessions seed sweep jobs shards no_bc =
       OL.default_params ~seed ~sessions ~offered_load:load ~arrival ~service_ns
         ()
     in
-    let r = OL.run_sharded ~shards p in
+    let r = OL.run p in
     let pc q = Histogram.percentile r.OL.r_latency q in
     Printf.printf "%s, %s arrivals, offered load %.2f, %d sessions:\n" prim
       (OL.arrival_name arrival) load sessions;
@@ -455,7 +453,7 @@ let open_cmd =
           tail latency percentiles")
     Term.(
       const run_open $ prim $ arrival $ load $ sessions $ seed $ sweep
-      $ jobs_arg $ shards_arg $ no_block_cache_arg)
+      $ jobs_arg $ no_block_cache_arg)
 
 (* --- trace: export a Chrome trace of a microbench run --- *)
 
@@ -488,8 +486,9 @@ let trace_cmd =
   let same_cpu =
     Arg.(value & flag & info [ "same-cpu" ] ~doc:"pin both sides to one CPU")
   in
-  let bytes = Arg.(value & opt int 1 & info [ "bytes" ] ~doc:"argument size") in
-  let iters = Arg.(value & opt int 50 & info [ "iters" ] ~doc:"round trips") in
+  let iters =
+    Arg.(value & opt positive_int 50 & info [ "iters" ] ~doc:"round trips")
+  in
   let out =
     Arg.(value & opt string "trace.json" & info [ "out" ] ~doc:"output file")
   in
@@ -497,7 +496,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"run a microbench under event tracing and export Chrome trace JSON")
     Term.(
-      const run_trace $ primitive $ same_cpu $ bytes $ iters $ out
+      const run_trace $ primitive $ same_cpu $ bytes_arg $ iters $ out
       $ no_block_cache_arg)
 
 (* --- bench: the fixed-seed suite / fault matrix, sharded --- *)

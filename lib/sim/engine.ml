@@ -262,7 +262,4 @@ let run_until t deadline =
 
 let pending t = Heap.length t.events
 
-let next_time t =
-  match Heap.peek_time t.events with Some time -> time | None -> infinity
-
 let steps t = t.steps

@@ -41,20 +41,8 @@ type 'a t = {
    alive, and [Array.make] with it builds a uniform (non-float) array. *)
 let nil : Obj.t = Obj.repr 0
 
-(* [capacity] pre-sizes the arrays: a caller expecting a known burst
-   (e.g. the sharded open-arrival station receiving batch-sized barrier
-   deliveries) skips the doubling regrowth.  Capacity is invisible to
-   every observation, so it can never affect a digest. *)
-let create ?(capacity = 0) () =
-  let capacity = max 0 capacity in
-  {
-    times = Array.make capacity 0.;
-    seqs = Array.make capacity 0;
-    slots = Array.init capacity Fun.id;
-    payloads = Array.make capacity nil;
-    size = 0;
-    next_seq = 0;
-  }
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let length h = h.size
 

@@ -74,6 +74,7 @@ type result = {
   r_user_frac : float;
   r_kernel_frac : float;
   r_idle_frac : float;
+  r_steps : int;
 }
 
 (* --- shared infrastructure --- *)
@@ -214,8 +215,7 @@ let dipc_crossing kern th =
 
 (* Every source of randomness derives from [seed]: the default of 41
    reproduces the calibrated legacy streams (disk 97, pools 733). *)
-let run ?(params_override = None) ?(seed = 41) ?trace ?inject
-    ?(drive_until = Engine.run_until) ~config ~db_mode
+let run ?(params_override = None) ?(seed = 41) ?trace ?inject ~config ~db_mode
     ~threads () =
   let p =
     match params_override with
@@ -311,10 +311,10 @@ let run ?(params_override = None) ?(seed = 41) ?trace ?inject
                done))
       done);
   (* Warm up, reset, measure. *)
-  drive_until engine p.warmup;
+  Engine.run_until engine p.warmup;
   Kernel.reset_stats kern;
   measuring := true;
-  drive_until engine (p.warmup +. p.duration);
+  Engine.run_until engine (p.warmup +. p.duration);
   measuring := false;
   (* Aggregate the CPU breakdowns. *)
   let agg = Breakdown.create () in
@@ -336,4 +336,5 @@ let run ?(params_override = None) ?(seed = 41) ?trace ?inject
     r_user_frac = user /. wall;
     r_kernel_frac = kernel /. wall;
     r_idle_frac = idle /. wall;
+    r_steps = Engine.steps engine;
   }

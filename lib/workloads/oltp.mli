@@ -43,6 +43,7 @@ type result = {
   r_user_frac : float;
   r_kernel_frac : float;
   r_idle_frac : float;
+  r_steps : int;  (** {!Dipc_sim.Engine.steps} over warm-up and measurement *)
 }
 
 (** Run one cell of the Figure 8 matrix.  [params_override] replaces the
@@ -50,18 +51,12 @@ type result = {
     every RNG stream in the run (default 41, the calibrated legacy
     streams): equal seeds replay the identical event timeline.  [trace]
     installs a structured event trace sink on the run's engine.
-    [inject] installs a seeded fault injector on the run's kernel.
-    [drive_until] replaces the bounded event-loop driver (default
-    [Engine.run_until]) — e.g. [Shard.run_windowed ~until] to route the
-    warmup and measurement phases through the conservative coordinator;
-    any driver with [run_until] semantics must yield identical
-    results. *)
+    [inject] installs a seeded fault injector on the run's kernel. *)
 val run :
   ?params_override:params option ->
   ?seed:int ->
   ?trace:Dipc_sim.Trace.t ->
   ?inject:Dipc_sim.Inject.t ->
-  ?drive_until:(Dipc_sim.Engine.t -> float -> unit) ->
   config:config ->
   db_mode:db_mode ->
   threads:int ->

@@ -30,7 +30,6 @@
 module Rng = Dipc_sim.Rng
 module Heap = Dipc_sim.Heap
 module Histogram = Dipc_sim.Histogram
-module Shard = Dipc_sim.Shard
 
 type arrival = Poisson | Bursty | Diurnal
 
@@ -250,213 +249,6 @@ let run p =
       digest_of ~sessions:p.sessions ~requests:!requests ~hist
         ~makespan:!makespan;
   }
-
-(* --- sharded execution (ROADMAP item 2) ---
-
-   [run] above is the serial reference; [run_sharded] decomposes the
-   same simulation along its only dependence cut into two shards under
-   the conservative coordinator (DESIGN.md Sec. 14):
-
-     shard 0, the admission source: owns the arrival and session-length
-       streams.  Its messages are admissions timestamped at the arrival
-       instant, so its lookahead is 0 and the window bound is its next
-       undrawn arrival.  Nobody ever sends to it, so it is input-free
-       and may legally run a whole batch of admissions *ahead* of the
-       window — that pipelining is where the wall-clock win comes from.
-
-     shard 1, the service station: owns the ready-queue heap, the
-       free-server array, the service and think streams and the
-       histogram.  It consumes admissions at barriers and never emits,
-       so its lookahead is infinite.
-
-   Determinism: each stochastic stream is drawn by exactly one shard in
-   the same per-stream order as the serial loop (arrival/length in
-   admission order, service/think in heap-pop order), and the station
-   consumes its inbox — which barrier-merge delivers in arrival order —
-   through a cursor interleaved with the heap under the serial loop's
-   own [ready <= arr_t] comparison, admitting each arrival into the
-   heap exactly when the serial loop would.  The station therefore
-   performs the *identical* sequence of heap pushes and pops (same
-   seqnos, same tie resolutions) as [run]: digest equality is by
-   construction, not merely almost-sure, and the heap stays at the
-   serial run's in-flight size instead of swallowing whole batches
-   (pre-pushing the batch was measured to triple the heap depth and
-   double the run's wall clock).  The gates pin it: test_shard.ml, the
-   pinned open_* cells, CI's --shards 1 vs 2 byte-diff.
-
-   The model has exactly one cut, so [shards] above 2 cap at 2: extra
-   shards would own nothing.  (The arrival process is a sequential
-   recurrence — it cannot split — and moving the histogram out of the
-   station would ship one message per request, costing more than the
-   bucketing it offloads.) *)
-
-let batch_sessions = 8192
-
-let run_sharded ?(shards = 2) ?par ?jobs p =
-  (* The pipeline only pays on a machine with a second core to overlap
-     admission with service; on a single-core host the default runs the
-     same sharded protocol on one domain — byte-identical either way,
-     [par] overrides in both directions. *)
-  let par =
-    match par with
-    | Some b -> b
-    | None -> Dipc_sim.Parallel.default_jobs () > 1
-  in
-  if shards <= 1 then run p
-  else begin
-    if p.sessions <= 0 then
-      invalid_arg "Openload.run_sharded: sessions must be positive";
-    if p.servers <= 0 then
-      invalid_arg "Openload.run_sharded: servers must be positive";
-    if p.offered_load <= 0. then
-      invalid_arg "Openload.run_sharded: offered_load must be positive";
-    let root = Rng.create ~seed:p.seed in
-    (* Same fixed fork order as [run]: the stream assignment is part of
-       the digest contract. *)
-    let rng_arrival = Rng.split root in
-    let rng_service = Rng.split root in
-    let rng_len = Rng.split root in
-    let rng_think = Rng.split root in
-    let mean_reqs = 1. +. (float_of_int p.max_extra_reqs /. 2.) in
-    let request_rate =
-      p.offered_load *. float_of_int p.servers /. p.service_ns
-    in
-    let session_rate = request_rate /. mean_reqs in
-    let next_arrival =
-      make_arrivals p.arrival ~rate:session_rate ~sessions:p.sessions
-        rng_arrival
-    in
-    let session_len () =
-      if p.max_extra_reqs = 0 then 1
-      else 1 + Rng.int_unbiased rng_len (p.max_extra_reqs + 1)
-    in
-    (* shard 0: admission source *)
-    let admitted = ref 0 in
-    let next_arr = ref (next_arrival 0.) in
-    let source =
-      {
-        Shard.st_next =
-          (fun () -> if !admitted < p.sessions then !next_arr else infinity);
-        st_lookahead = 0.;
-        st_step =
-          (fun ~inbox_at:_ ~inbox_pay:_ ~inbox_len:_ ~upto:_ ~emit ->
-            let n0 = !admitted in
-            while !admitted < p.sessions && !admitted - n0 < batch_sessions do
-              let arr_t = !next_arr in
-              (* Draw order (length, then next arrival) as in [run].  The
-                 payload is just the session length — an immediate int —
-                 so the message path allocates nothing and the station
-                 builds its session record in its own minor heap exactly
-                 as the serial loop does (shipping the record itself was
-                 measured to promote every session to the major heap). *)
-              let len = session_len () in
-              incr admitted;
-              emit ~dst:1 ~at:arr_t len;
-              next_arr := next_arrival arr_t
-            done;
-            !admitted - n0);
-      }
-    in
-    (* shard 1: service station *)
-    let queue : session Heap.t = Heap.create ~capacity:256 () in
-    let free = Array.make p.servers 0. in
-    let hist = Histogram.create () in
-    let requests = ref 0 in
-    let busy = ref 0. in
-    let makespan = ref 0. in
-    let serve ready sess =
-      let srv = ref 0 in
-      for i = 1 to p.servers - 1 do
-        if free.(i) < free.(!srv) then srv := i
-      done;
-      let start = if ready > free.(!srv) then ready else free.(!srv) in
-      let svc = Rng.exponential rng_service ~mean:p.service_ns in
-      let fin = start +. svc in
-      free.(!srv) <- fin;
-      busy := !busy +. svc;
-      if fin > !makespan then makespan := fin;
-      Histogram.add hist (fin -. ready);
-      incr requests;
-      sess.s_reqs_left <- sess.s_reqs_left - 1;
-      if sess.s_reqs_left > 0 then
-        Heap.push queue
-          ~time:(fin +. Rng.exponential rng_think ~mean:p.think_ns)
-          sess
-    in
-    let station =
-      {
-        Shard.st_next =
-          (fun () ->
-            match Heap.peek_time queue with
-            | Some ready -> ready
-            | None -> infinity);
-        st_lookahead = infinity;
-        st_step =
-          (fun ~inbox_at ~inbox_pay ~inbox_len ~upto ~emit:_ ->
-            (* The serial generator/queue loop verbatim, with the inbox
-               cursor standing in for lazy admission: an arrival enters
-               the heap exactly when [run] would admit it, so the push
-               and pop sequences (and their tie-breaking seqnos) are
-               identical to the serial run's. *)
-            let cursor = ref 0 in
-            let progressed = ref 0 in
-            let continue = ref true in
-            while !continue do
-              let arr_t =
-                if !cursor < inbox_len then inbox_at.(!cursor) else infinity
-              in
-              match Heap.peek_time queue with
-              | Some ready when ready <= arr_t ->
-                  if ready > upto then continue := false
-                  else begin
-                    serve ready (Heap.pop_min queue);
-                    incr progressed
-                  end
-              | _ ->
-                  if !cursor >= inbox_len || arr_t > upto then
-                    continue := false
-                  else begin
-                    let sess =
-                      {
-                        s_arrival = inbox_at.(!cursor);
-                        s_reqs_left = inbox_pay.(!cursor);
-                      }
-                    in
-                    incr cursor;
-                    Heap.push queue ~time:sess.s_arrival sess;
-                    incr progressed
-                  end
-            done;
-            (* The admission source's zero lookahead gates the window at
-               its next undrawn arrival, so every delivered arrival lies
-               inside the window; bank any leftovers all the same to
-               keep the stepper total for other bound derivations. *)
-            while !cursor < inbox_len do
-              let sess =
-                {
-                  s_arrival = inbox_at.(!cursor);
-                  s_reqs_left = inbox_pay.(!cursor);
-                }
-              in
-              incr cursor;
-              Heap.push queue ~time:sess.s_arrival sess;
-              incr progressed
-            done;
-            !progressed);
-      }
-    in
-    Shard.run ~par ?jobs (Shard.create [| source; station |]);
-    {
-      r_sessions = p.sessions;
-      r_requests = !requests;
-      r_latency = hist;
-      r_makespan_ns = !makespan;
-      r_busy_ns = !busy;
-      r_digest =
-        digest_of ~sessions:p.sessions ~requests:!requests ~hist
-          ~makespan:!makespan;
-    }
-  end
 
 (* --- saturation knee ---
 

@@ -6,4 +6,4 @@ let () =
    @ Test_trace.suites @ Test_perf.suites @ Test_props.suites
    @ Test_conformance.suites @ Test_checker.suites @ Test_inject.suites
    @ Test_blocks.suites @ Test_golden.suites @ Test_parallel.suites
-   @ Test_openload.suites @ Test_shard.suites)
+   @ Test_openload.suites)

@@ -872,21 +872,15 @@ let test_oltp_allocation () =
   let p =
     { (O.default_params ~db_mode:O.In_memory ~threads) with O.warmup = 5e6; duration = 5e7 }
   in
-  let steps = ref 0 in
-  let drive e deadline =
-    Dipc_sim.Engine.run_until e deadline;
-    steps := Dipc_sim.Engine.steps e
-  in
   let w0 = Gc.minor_words () in
   let r =
-    O.run ~params_override:(Some p) ~drive_until:drive ~config:O.Linux
-      ~db_mode:O.In_memory ~threads ()
+    O.run ~params_override:(Some p) ~config:O.Linux ~db_mode:O.In_memory ~threads ()
   in
   let words = Gc.minor_words () -. w0 in
   (* Pin the run itself, so the gate always measures the same timeline. *)
   Alcotest.(check int) "operations" 16 r.O.r_ops;
-  Alcotest.(check int) "engine steps" 51565 !steps;
-  let per_step = words /. float_of_int !steps in
+  Alcotest.(check int) "engine steps" 51565 r.O.r_steps;
+  let per_step = words /. float_of_int r.O.r_steps in
   if per_step > oltp_words_per_step_ceiling then
     Alcotest.failf "%.3f minor words per engine step, ceiling %.2f" per_step
       oltp_words_per_step_ceiling

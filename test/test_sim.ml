@@ -8,7 +8,6 @@ module Stats = Dipc_sim.Stats
 module Breakdown = Dipc_sim.Breakdown
 module Memcost = Dipc_sim.Memcost
 module Engine = Dipc_sim.Engine
-module Waitq = Dipc_sim.Waitq
 module Histogram = Dipc_sim.Histogram
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -463,25 +462,6 @@ let test_engine_exception_from_inline_resume () =
           Alcotest.(check int) (name ^ ": raised at round 10") 10 !rounds)
     drivers
 
-let test_waitq_fifo () =
-  let e = Engine.create () in
-  let q = Waitq.create () in
-  let out = ref [] in
-  for i = 1 to 3 do
-    Engine.spawn e (fun () ->
-        let v = Waitq.wait q in
-        out := (i, v) :: !out)
-  done;
-  Engine.spawn e (fun () ->
-      Engine.delay 1.;
-      ignore (Waitq.wake_one q "x");
-      ignore (Waitq.wake_all q "y"));
-  Engine.run e;
-  Alcotest.(check (list (pair int string)))
-    "fifo and broadcast"
-    [ (1, "x"); (2, "y"); (3, "y") ]
-    (List.rev !out)
-
 let test_histogram () =
   let h = Histogram.create () in
   List.iter (Histogram.add h) [ 1.; 2.; 4.; 1024.; 1_000_000. ];
@@ -586,7 +566,6 @@ let suites =
         Alcotest.test_case "step limit" `Quick test_engine_step_limit;
         Alcotest.test_case "exception from an inline resume" `Quick
           test_engine_exception_from_inline_resume;
-        Alcotest.test_case "waitq fifo" `Quick test_waitq_fifo;
         Alcotest.test_case "histogram" `Quick test_histogram;
       ]
       @ qsuite
